@@ -27,6 +27,7 @@ from ..core.serialize import budget_from_dict, budget_to_dict, clp_from_dict
 from ..fpga.parts import ResourceBudget, budget_for
 from ..opt.driver import DEFAULT_MAX_CLPS, DEFAULT_SLACK, DEFAULT_STEP
 from ..opt.heuristics import get_ordering
+from ..opt.memory import check_slack
 from ..opt.worker import RESULT_SCHEMA_VERSION
 
 __all__ = [
@@ -100,6 +101,9 @@ class DesignPoint:
             raise ValueError("design point needs positive DSP and BRAM budgets")
         if self.max_clps < 1:
             raise ValueError("max_clps must be at least 1")
+        if not 0 < self.step < 1:
+            raise ValueError(f"step must be in (0, 1), got {self.step}")
+        check_slack(self.slack)
         DataType.from_name(self.dtype)  # validate early, not in the worker
         if self.ordering != "auto":
             get_ordering(self.ordering)  # unknown ordering fails here, loudly

@@ -17,6 +17,14 @@ The search is exact within the contiguous-segment restriction:
 3. For a given cycle target, the minimum DSP for a segment is a binary
    search on its frontier, and the best partition is a small dynamic
    program over (number of CLPs, prefix of the order).
+
+Both per-target steps are array operations.  The binary search runs
+over every frontier row at once (about ``log2(DSP classes)`` gathers),
+giving a (start, end) matrix of segment DSP costs with ``inf`` where a
+segment cannot meet the target.  The DP is a min-plus recurrence over
+that matrix, ``dp[k] = min_i(dp[k-1][i] + cost[i, :])``; ``argmin``
+returns the *first* minimum, so ties go to the smallest split point,
+exactly as a scalar scan with a strict ``<`` would choose.
 """
 
 from __future__ import annotations
@@ -147,15 +155,21 @@ class SegmentSearch:
         self._frontier = np.empty((num_segments, num_classes), dtype=np.int64)
         self._segment_index: Dict[Tuple[int, int], int] = {}
         row = 0
+        # One start index at a time: all segments at once would hold a
+        # (segments x grids) matrix, ~130 MB for GoogLeNet fixed16.
         for i in range(count):
+            segs = cum[i + 1:] - cum[i]
+            per_class = np.minimum.reduceat(segs, self._group_starts, axis=1)
+            np.minimum.accumulate(per_class, axis=1, out=per_class)
+            self._frontier[row:row + count - i] = per_class
             for j in range(i + 1, count + 1):
-                seg = cum[j] - cum[i]
-                per_class = np.minimum.reduceat(seg, self._group_starts)
-                np.minimum.accumulate(per_class, out=per_class)
-                self._frontier[row] = per_class
                 self._segment_index[(i, j)] = row
                 row += 1
         self._cum = cum
+        # Row r of the frontier is segment layers[seg_i[r]:seg_j[r]].
+        self._seg_i, self._seg_j = np.array(
+            list(self._segment_index), dtype=np.int64
+        ).T
 
     # -------------------------------------------------------------- queries
     def min_segment_cycles(self, i: int, j: int) -> int:
@@ -214,48 +228,56 @@ class SegmentSearch:
             raise ValueError(f"max_clps must be >= 1, got {max_clps}")
         count = len(self.layers)
         seg_dsp = self._segment_dsp_matrix(cycle_target)
-        infinity = float("inf")
-        # dp[k][j]: min DSP covering layers[:j] with exactly k CLPs.
-        dp = [[infinity] * (count + 1) for _ in range(max_clps + 1)]
-        parent: List[List[int]] = [[-1] * (count + 1) for _ in range(max_clps + 1)]
-        dp[0][0] = 0.0
+        # dp[k][j]: min DSP covering layers[:j] with exactly k CLPs, as a
+        # min-plus product over the last segment's start i.  ``argmin``
+        # keeps the first (smallest-i) minimum, as a strict-< scan would.
+        # Parents of unreachable (infinite) entries are never followed.
+        dp = np.full((max_clps + 1, count + 1), np.inf)
+        parent = np.zeros((max_clps + 1, count + 1), dtype=np.int64)
+        dp[0, 0] = 0.0
         for k in range(1, max_clps + 1):
-            for j in range(1, count + 1):
-                best = infinity
-                best_i = -1
-                for i in range(k - 1, j):
-                    if dp[k - 1][i] == infinity:
-                        continue
-                    cost = seg_dsp[i][j]
-                    if cost is None:
-                        continue
-                    total = dp[k - 1][i] + cost
-                    if total < best:
-                        best = total
-                        best_i = i
-                dp[k][j] = best
-                parent[k][j] = best_i
+            total = dp[k - 1][:, None] + seg_dsp
+            parent[k] = total.argmin(axis=0)
+            dp[k] = total.min(axis=0)
 
+        parents = parent.tolist()
         results: List[PartitionCandidate] = []
         for k in range(1, max_clps + 1):
-            if dp[k][count] <= self.dsp_budget:
+            if dp[k, count] <= self.dsp_budget:
                 results.append(
-                    self._assemble(parent, k, count, cycle_target)
+                    self._assemble(parents, k, count, cycle_target)
                 )
         results.sort(key=lambda cand: (cand.total_dsp, cand.num_clps))
         return results
 
-    def _segment_dsp_matrix(
-        self, cycle_target: float
-    ) -> List[List[Optional[int]]]:
+    def _segment_dsp_matrix(self, cycle_target: float) -> np.ndarray:
+        """``m[i, j]``: min DSP letting layers[i:j] meet the target
+        (``inf`` where no grid does, or where ``i >= j``).
+
+        One binary search over every frontier row at once: each row is
+        non-increasing, so the entries meeting the target form a suffix
+        and ``lo`` converges on its first index (``num_classes`` if the
+        suffix is empty).
+        """
+        rows, num_classes = self._frontier.shape
+        lo = np.zeros(rows, dtype=np.int64)
+        hi = np.full(rows, num_classes, dtype=np.int64)
+        row_ids = np.arange(rows)
+        for _ in range(num_classes.bit_length()):
+            active = lo < hi
+            mid = (lo + hi) >> 1
+            meets = (
+                self._frontier[row_ids, np.minimum(mid, num_classes - 1)]
+                <= cycle_target
+            )
+            hi = np.where(active & meets, mid, hi)
+            lo = np.where(active & ~meets, mid + 1, lo)
         count = len(self.layers)
-        matrix: List[List[Optional[int]]] = [
-            [None] * (count + 1) for _ in range(count + 1)
+        matrix = np.full((count + 1, count + 1), np.inf)
+        found = lo < num_classes
+        matrix[self._seg_i[found], self._seg_j[found]] = self.dsp_values[
+            lo[found]
         ]
-        for (i, j), row in self._segment_index.items():
-            idx = self._first_meeting_index(self._frontier[row], cycle_target)
-            if idx is not None:
-                matrix[i][j] = int(self.dsp_values[idx])
         return matrix
 
     def _assemble(

@@ -27,7 +27,7 @@ from ..core.network import Network
 from ..fpga.parts import ResourceBudget
 from .compute import PartitionCandidate, SegmentSearch
 from .heuristics import get_ordering
-from .memory import MemorySolution, optimize_memory
+from .memory import MemorySolution, check_slack, optimize_memory
 
 __all__ = [
     "OptimizationError",
@@ -118,6 +118,7 @@ def optimize_multi_clp(
     """
     if not 0 < step < 1:
         raise ValueError(f"step must be in (0, 1), got {step}")
+    check_slack(slack)
     ordering_fn = get_ordering(_pick_ordering(ordering, budget))
     ordered_layers: List[ConvLayer] = ordering_fn(list(network))
     search = SegmentSearch(ordered_layers, dtype, budget.dsp)

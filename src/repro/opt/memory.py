@@ -11,19 +11,32 @@ also yields the system-level tradeoff curve of Figure 6.  Structures that
 do not depend on the cycle target are memoized, mirroring the paper's
 note that both optimization steps "use memoization to avoid redundant
 work".
+
+The target-independent searches are array operations.  A layer's tile
+options become int64 vectors of input- and output-bank words; the
+dominance filter is one triangular comparison, and a CLP's curve is a
+(input caps x output caps x options) fit mask per layer.  Two tie rules
+keep this exactly equal to a scalar scan: options come in ascending
+transfer-volume order (stable sort), so the *first* fitting option
+(``argmax`` of the mask) is the least-transfer one, earliest on ties;
+and each distinct plan is costed once, in first-seen in-cap-major
+order, so the stable (BRAM, volume) sort keeps the same first point of
+every tie.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import ceil
+from math import ceil, isfinite
 from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..core.bandwidth import LayerTransfer, layer_transfer, min_bandwidth_for_cycles
 from ..core.cost_model import bram_count, buffer_spec
 from ..core.datatypes import DataType
-from ..core.layer import ConvLayer, input_extent
+from ..core.layer import ConvLayer
 from .compute import CLPCandidate, PartitionCandidate
 
 __all__ = [
@@ -32,6 +45,7 @@ __all__ = [
     "MemorySolution",
     "tile_candidates",
     "clp_pareto",
+    "check_slack",
     "optimize_memory",
     "system_tradeoff_curve",
 ]
@@ -91,6 +105,17 @@ def _tile_sizes(extent: int) -> List[int]:
     return sorted(sizes)
 
 
+def _bank_words(
+    layer: ConvLayer, options: Sequence[Tuple[int, int, LayerTransfer]]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Input- and output-bank words of each (Tr, Tc, ...) tile option."""
+    tr = np.array([opt[0] for opt in options], dtype=np.int64)
+    tc = np.array([opt[1] for opt in options], dtype=np.int64)
+    # input_extent(), (T-1)*S+K, along both dimensions.
+    in_words = ((tr - 1) * layer.s + layer.k) * ((tc - 1) * layer.s + layer.k)
+    return in_words, tr * tc
+
+
 @lru_cache(maxsize=None)
 def tile_candidates(
     layer: ConvLayer, tn: int, tm: int
@@ -98,29 +123,24 @@ def tile_candidates(
     """Pareto-relevant (Tr, Tc, transfer) tile options for a layer.
 
     Options dominated in (input-bank words, output-bank words, transfer
-    volume) are dropped.  Results are memoized: the optimizer re-queries
-    the same (layer, grid) pairs across target-relaxation iterations.
+    volume) are dropped, and the rest come in ascending transfer-volume
+    order.  Results are memoized: the optimizer re-queries the same
+    (layer, grid) pairs across target-relaxation iterations.
     """
     raw: List[Tuple[int, int, LayerTransfer]] = []
     for tr in _tile_sizes(layer.r):
         for tc in _tile_sizes(layer.c):
             raw.append((tr, tc, layer_transfer(layer, tn, tm, tr, tc)))
     raw.sort(key=lambda opt: opt[2].total_words)
-    kept: List[Tuple[int, int, LayerTransfer]] = []
-    kept_banks: List[Tuple[int, int]] = []
-    for tr, tc, transfer in raw:
-        in_words = input_extent(tr, layer.s, layer.k) * input_extent(
-            tc, layer.s, layer.k
-        )
-        out_words = tr * tc
-        if any(
-            k_in <= in_words and k_out <= out_words
-            for k_in, k_out in kept_banks
-        ):
-            continue  # an earlier (cheaper-transfer) option needs no more BRAM
-        kept.append((tr, tc, transfer))
-        kept_banks.append((in_words, out_words))
-    return tuple(kept)
+    in_words, out_words = _bank_words(layer, raw)
+    # Drop an option if an earlier (cheaper-transfer) one needs no more
+    # of either bank.  Dominance is transitive, so comparing against all
+    # earlier options equals comparing against the earlier *kept* ones.
+    no_bigger = (in_words[None, :] <= in_words[:, None]) & (
+        out_words[None, :] <= out_words[:, None]
+    )
+    dominated = np.tril(no_bigger, k=-1).any(axis=1)
+    return tuple(opt for opt, drop in zip(raw, dominated.tolist()) if not drop)
 
 
 def _sample(values: List[int], limit: int) -> List[int]:
@@ -147,58 +167,50 @@ def _clp_curve_structure(
     """The (BRAM, transfer-volume) frontier of one CLP.
 
     Independent of the cycle target; reused across relaxation steps.
+    Every (input cap, output cap) pair gives each layer its first
+    fitting tile option, which is its least-transfer one because
+    :func:`tile_candidates` lists options by ascending volume.
     """
     per_layer = [
         tile_candidates(layer, candidate.tn, candidate.tm)
         for layer in candidate.layers
     ]
-    in_caps = sorted(
-        {
-            input_extent(tr, layer.s, layer.k)
-            * input_extent(tc, layer.s, layer.k)
-            for layer, options in zip(candidate.layers, per_layer)
-            for tr, tc, _ in options
-        }
+    in_words, out_words = zip(*map(_bank_words, candidate.layers, per_layer))
+    # sorted(set()), not np.unique: the latter imports numpy.ma (~1 MB).
+    in_caps = np.array(
+        _sample(sorted(set(np.concatenate(in_words).tolist())), MAX_CAPS)
     )
-    out_caps = sorted(
-        {tr * tc for options in per_layer for tr, tc, _ in options}
+    out_caps = np.array(
+        _sample(sorted(set(np.concatenate(out_words).tolist())), MAX_CAPS)
     )
-    in_caps = _sample(in_caps, MAX_CAPS)
-    out_caps = _sample(out_caps, MAX_CAPS)
 
+    # choice[i, o, l]: layer l's first option fitting (in_caps[i], out_caps[o]).
+    feasible = np.ones((len(in_caps), len(out_caps)), dtype=bool)
+    choice = np.empty((len(in_caps), len(out_caps), len(per_layer)), np.int64)
+    for idx, (ins, outs) in enumerate(zip(in_words, out_words)):
+        fit = (ins <= in_caps[:, None])[:, None, :] & (
+            outs <= out_caps[:, None]
+        )[None, :, :]
+        feasible &= fit.any(axis=2)
+        choice[:, :, idx] = fit.argmax(axis=2)
+
+    # Distinct plans in first-seen, in-cap-major order; the stable sort
+    # below then keeps the first of every (bram, volume) tie.
+    distinct = dict.fromkeys(map(tuple, choice[feasible].tolist()))
     points: List[_CurvePoint] = []
-    for in_cap in in_caps:
-        for out_cap in out_caps:
-            plans: List[Tuple[int, int]] = []
-            transfers: List[LayerTransfer] = []
-            feasible = True
-            for layer, options in zip(candidate.layers, per_layer):
-                best: Optional[Tuple[int, int, LayerTransfer]] = None
-                for tr, tc, transfer in options:
-                    in_words = input_extent(tr, layer.s, layer.k) * input_extent(
-                        tc, layer.s, layer.k
-                    )
-                    if in_words > in_cap or tr * tc > out_cap:
-                        continue
-                    if best is None or transfer.total_words < best[2].total_words:
-                        best = (tr, tc, transfer)
-                if best is None:
-                    feasible = False
-                    break
-                plans.append((best[0], best[1]))
-                transfers.append(best[2])
-            if not feasible:
-                continue
-            spec = buffer_spec(candidate.layers, plans)
-            bram = bram_count(candidate.tn, candidate.tm, spec, dtype)
-            points.append(
-                _CurvePoint(
-                    bram=bram,
-                    total_words=sum(t.total_words for t in transfers),
-                    tile_plans=tuple(plans),
-                    transfers=tuple(transfers),
-                )
+    for plan in distinct:
+        chosen = [options[idx] for options, idx in zip(per_layer, plan)]
+        tile_plans = tuple((tr, tc) for tr, tc, _ in chosen)
+        transfers = tuple(transfer for _, _, transfer in chosen)
+        spec = buffer_spec(candidate.layers, tile_plans)
+        points.append(
+            _CurvePoint(
+                bram=bram_count(candidate.tn, candidate.tm, spec, dtype),
+                total_words=sum(t.total_words for t in transfers),
+                tile_plans=tile_plans,
+                transfers=transfers,
             )
+        )
     # Pareto prune on (bram, total transfer volume).
     points.sort(key=lambda p: (p.bram, p.total_words))
     pruned: List[_CurvePoint] = []
@@ -266,6 +278,12 @@ def clp_pareto(
     return pruned
 
 
+def check_slack(slack: float) -> None:
+    """Reject a bandwidth slack that is not a finite, non-negative margin."""
+    if not (isfinite(slack) and slack >= 0):
+        raise ValueError(f"slack must be finite and >= 0, got {slack}")
+
+
 def _merge_curves(
     curves: Sequence[List[TilePoint]],
 ) -> List[Tuple[int, float, Tuple[int, ...]]]:
@@ -316,6 +334,7 @@ def optimize_memory(
     under a bandwidth budget, the smallest-BRAM solution meeting it); or
     ``None`` if nothing fits.
     """
+    check_slack(slack)
     cycle_budget = cycle_target * (1 + slack)
     curves = [clp_pareto(clp, dtype, cycle_budget) for clp in candidate.clps]
     if any(not curve for curve in curves):
@@ -349,6 +368,7 @@ def system_tradeoff_curve(
     slack: float = 0.02,
 ) -> List[Tuple[int, float]]:
     """The Figure 6 curve: (BRAM, bandwidth bytes/cycle) frontier."""
+    check_slack(slack)
     cycle_budget = cycle_target * (1 + slack)
     curves = [clp_pareto(clp, dtype, cycle_budget) for clp in candidate.clps]
     merged = _merge_curves(curves)

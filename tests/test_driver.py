@@ -148,6 +148,28 @@ class TestArgumentValidation:
         with pytest.raises(ValueError):
             optimize_multi_clp(alexnet(), budget_for("485t"), FLOAT32, step=0)
 
+    @pytest.mark.parametrize("step", [1.0, -0.1, float("nan")])
+    def test_step_outside_unit_interval(self, step):
+        with pytest.raises(ValueError, match="step"):
+            optimize_multi_clp(
+                alexnet(), budget_for("485t"), FLOAT32, step=step
+            )
+
+    @pytest.mark.parametrize("slack", [float("nan"), -0.5, float("inf")])
+    def test_bad_slack(self, slack):
+        # Each used to fail late: nan ground through every relaxation
+        # step, -0.5 and inf raised internal errors deep in the model.
+        with pytest.raises(ValueError, match="slack must be finite"):
+            optimize_multi_clp(
+                alexnet(), budget_for("485t"), FLOAT32, slack=slack
+            )
+
+    def test_zero_slack_allowed(self):
+        design = optimize_single_clp(
+            alexnet(), budget_for("485t"), FLOAT32, slack=0.0
+        )
+        assert design.epoch_cycles == 2005892
+
     def test_bad_ordering(self):
         with pytest.raises(ValueError):
             optimize_multi_clp(

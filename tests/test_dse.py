@@ -61,6 +61,16 @@ class TestDesignPoint:
         with pytest.raises(ValueError):
             DesignPoint(network="alexnet", dsp=16, bram18k=16, dtype="float99")
 
+    @pytest.mark.parametrize("slack", [float("nan"), -0.5, float("inf")])
+    def test_rejects_bad_slack(self, slack):
+        with pytest.raises(ValueError, match="slack"):
+            DesignPoint(network="alexnet", dsp=16, bram18k=16, slack=slack)
+
+    @pytest.mark.parametrize("step", [0.0, 1.0, -0.5, float("nan")])
+    def test_rejects_step_outside_unit_interval(self, step):
+        with pytest.raises(ValueError, match="step"):
+            DesignPoint(network="alexnet", dsp=16, bram18k=16, step=step)
+
     def test_dict_round_trip(self):
         point = DesignPoint.build(
             "squeezenet", part="690t", dtype="fixed16",

@@ -1,18 +1,27 @@
 """Tests for OptimizeMemory's internal machinery."""
 
-import pytest
+from typing import List, Optional, Tuple
 
-from repro.core.datatypes import FLOAT32
-from repro.core.layer import ConvLayer
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.core.bandwidth import LayerTransfer, layer_transfer
+from repro.core.cost_model import bram_count, buffer_spec
+from repro.core.datatypes import FIXED16, FLOAT32
+from repro.core.layer import ConvLayer, input_extent
 from repro.opt.compute import CLPCandidate, PartitionCandidate
 from repro.opt.memory import (
     MAX_CAPS,
     MAX_CURVE_POINTS,
+    _clp_curve_structure,
+    _CurvePoint,
     _merge_curves,
     _sample,
     _tile_sizes,
     TilePoint,
     optimize_memory,
+    tile_candidates,
 )
 
 
@@ -147,3 +156,137 @@ class TestOptimizeMemoryChoices:
         for tr, tc in solution.plans[0].point.tile_plans:
             assert 1 <= tr <= layer.r
             assert 1 <= tc <= layer.c
+
+
+# ------------------------------------------------- brute-force differentials
+# The scalar loops below are the reference algorithms the array versions
+# in repro.opt.memory replaced; they must agree exactly, ties included.
+
+
+def _reference_tile_candidates(
+    layer: ConvLayer, tn: int, tm: int
+) -> Tuple[Tuple[int, int, LayerTransfer], ...]:
+    raw = [
+        (tr, tc, layer_transfer(layer, tn, tm, tr, tc))
+        for tr in _tile_sizes(layer.r)
+        for tc in _tile_sizes(layer.c)
+    ]
+    raw.sort(key=lambda opt: opt[2].total_words)
+    kept = []
+    kept_banks: List[Tuple[int, int]] = []
+    for tr, tc, transfer in raw:
+        in_words = input_extent(tr, layer.s, layer.k) * input_extent(
+            tc, layer.s, layer.k
+        )
+        out_words = tr * tc
+        if any(k_in <= in_words and k_out <= out_words
+               for k_in, k_out in kept_banks):
+            continue
+        kept.append((tr, tc, transfer))
+        kept_banks.append((in_words, out_words))
+    return tuple(kept)
+
+
+def _reference_curve_structure(candidate, dtype):
+    per_layer = [
+        tile_candidates(layer, candidate.tn, candidate.tm)
+        for layer in candidate.layers
+    ]
+    in_caps = _sample(sorted({
+        input_extent(tr, layer.s, layer.k) * input_extent(tc, layer.s, layer.k)
+        for layer, options in zip(candidate.layers, per_layer)
+        for tr, tc, _ in options
+    }), MAX_CAPS)
+    out_caps = _sample(
+        sorted({tr * tc for options in per_layer for tr, tc, _ in options}),
+        MAX_CAPS,
+    )
+    points = []
+    for in_cap in in_caps:
+        for out_cap in out_caps:
+            plans, transfers = [], []
+            for layer, options in zip(candidate.layers, per_layer):
+                best: Optional[Tuple[int, int, LayerTransfer]] = None
+                for tr, tc, transfer in options:
+                    in_words = input_extent(tr, layer.s, layer.k) * (
+                        input_extent(tc, layer.s, layer.k)
+                    )
+                    if in_words > in_cap or tr * tc > out_cap:
+                        continue
+                    if best is None or transfer.total_words < best[2].total_words:
+                        best = (tr, tc, transfer)
+                if best is None:
+                    break
+                plans.append((best[0], best[1]))
+                transfers.append(best[2])
+            else:
+                spec = buffer_spec(candidate.layers, plans)
+                points.append(_CurvePoint(
+                    bram=bram_count(candidate.tn, candidate.tm, spec, dtype),
+                    total_words=sum(t.total_words for t in transfers),
+                    tile_plans=tuple(plans),
+                    transfers=tuple(transfers),
+                ))
+    points.sort(key=lambda p: (p.bram, p.total_words))
+    pruned = []
+    best_words = None
+    for point in points:
+        if best_words is None or point.total_words < best_words:
+            pruned.append(point)
+            best_words = point.total_words
+    return tuple(pruned[:MAX_CURVE_POINTS])
+
+
+# Few distinct shapes, so layers often repeat and plans tie.
+_layer_shapes = st.tuples(
+    st.integers(1, 40),  # n
+    st.integers(1, 40),  # m
+    st.integers(1, 24),  # r
+    st.integers(1, 24),  # c
+    st.sampled_from([1, 3, 5]),  # k
+    st.integers(1, 3),  # s
+)
+
+DIFFERENTIAL = settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+def _layers(shapes):
+    return tuple(
+        ConvLayer(f"l{idx}", n, m, r, c, k, s)
+        for idx, (n, m, r, c, k, s) in enumerate(shapes)
+    )
+
+
+class TestArrayFormulationMatchesLoops:
+    @DIFFERENTIAL
+    @given(
+        shape=_layer_shapes,
+        tn=st.integers(1, 16),
+        tm=st.integers(1, 64),
+    )
+    def test_tile_candidates(self, shape, tn, tm):
+        (layer,) = _layers([shape])
+        assert tile_candidates(layer, tn, tm) == _reference_tile_candidates(
+            layer, tn, tm
+        )
+
+    @DIFFERENTIAL
+    @given(
+        shapes=st.lists(_layer_shapes, min_size=1, max_size=4).flatmap(
+            lambda base: st.lists(st.sampled_from(base), min_size=1, max_size=6)
+        ),
+        tn=st.integers(1, 16),
+        tm=st.integers(1, 64),
+        dtype=st.sampled_from([FLOAT32, FIXED16]),
+    )
+    def test_clp_curve_structure(self, shapes, tn, tm, dtype):
+        candidate = CLPCandidate(
+            tn=tn, tm=tm, layers=_layers(shapes), cycles=1, dsp=1
+        )
+        assert _clp_curve_structure(candidate, dtype) == (
+            _reference_curve_structure(candidate, dtype)
+        )

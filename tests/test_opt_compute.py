@@ -1,6 +1,11 @@
 """Tests for OptimizeCompute (SegmentSearch)."""
 
+import math
+
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.cost_model import layer_cycles
 from repro.core.datatypes import FIXED16, FLOAT32
@@ -132,3 +137,87 @@ class TestFixedPoint:
             SegmentSearch(layers, FLOAT32, dsp_budget=4)  # < 5 per unit
         search = SegmentSearch(layers, FLOAT32, dsp_budget=5)
         assert search.grid_count == 1
+
+
+# ------------------------------------------------- brute-force differentials
+# A pure-Python oracle for the array formulation: the segment DSP lookup
+# by exhaustive scan over every enumerated grid, and the partition DP as
+# the strict-< scan the min-plus recurrence replaced.
+
+
+def _brute_segment_dsp(search, i, j, target):
+    """Fewest DSP slices of any grid running layers[i:j] within target."""
+    best = math.inf
+    for tn, tm, dsp in zip(search._tn.tolist(), search._tm.tolist(),
+                           search._dsp.tolist()):
+        cycles = sum(layer_cycles(layer, tn, tm) for layer in search.layers[i:j])
+        if cycles <= target:
+            best = min(best, dsp)
+    return best
+
+
+def _brute_candidates(search, target, max_clps):
+    count = len(search.layers)
+    seg = [[_brute_segment_dsp(search, i, j, target) if i < j else math.inf
+            for j in range(count + 1)] for i in range(count + 1)]
+    dp = [[math.inf] * (count + 1) for _ in range(max_clps + 1)]
+    parent = [[-1] * (count + 1) for _ in range(max_clps + 1)]
+    dp[0][0] = 0.0
+    for k in range(1, max_clps + 1):
+        for j in range(1, count + 1):
+            for i in range(k - 1, j):
+                total = dp[k - 1][i] + seg[i][j]
+                if total < dp[k][j]:
+                    dp[k][j] = total
+                    parent[k][j] = i
+    results = [
+        search._assemble(parent, k, count, target)
+        for k in range(1, max_clps + 1)
+        if dp[k][count] <= search.dsp_budget
+    ]
+    results.sort(key=lambda cand: (cand.total_dsp, cand.num_clps))
+    return seg, results
+
+
+# Few distinct shapes, so layers repeat and split points tie on DSP.
+_layer_shapes = st.tuples(
+    st.integers(1, 48),  # n
+    st.integers(1, 48),  # m
+    st.integers(1, 8),  # r
+    st.integers(1, 8),  # c
+    st.sampled_from([1, 3]),  # k
+)
+
+
+@st.composite
+def _searches_and_targets(draw):
+    base = draw(st.lists(_layer_shapes, min_size=1, max_size=3))
+    shapes = draw(st.lists(st.sampled_from(base), min_size=1, max_size=5))
+    layers = [ConvLayer(f"l{idx}", *shape) for idx, shape in enumerate(shapes)]
+    dtype = draw(st.sampled_from([FLOAT32, FIXED16]))
+    search = SegmentSearch(layers, dtype, dsp_budget=draw(st.integers(5, 120)))
+    # Exact frontier values (ties with the <= test), their neighbours,
+    # and targets no grid reaches.
+    values = np.unique(search._frontier).tolist()
+    exact = draw(st.sampled_from(values))
+    target = draw(st.sampled_from([
+        float(exact), exact - 0.5, exact + 0.5, 1.0, float(values[0] - 1),
+        float(values[-1]) * 2,
+    ]))
+    return search, target, draw(st.integers(1, 4))
+
+
+class TestArrayFormulationMatchesLoops:
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(case=_searches_and_targets())
+    def test_candidates_match_brute_force(self, case):
+        search, target, max_clps = case
+        seg, expected = _brute_candidates(search, target, max_clps)
+        assert search._segment_dsp_matrix(target).tolist() == seg
+        assert search.candidates(target, max_clps) == expected
+
+    def test_unreachable_target_everywhere(self, alexnet_search):
+        matrix = alexnet_search._segment_dsp_matrix(1.0)
+        assert np.isinf(matrix).all()
+        assert alexnet_search.candidates(1.0, max_clps=6) == []

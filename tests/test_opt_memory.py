@@ -120,6 +120,15 @@ class TestOptimizeMemory:
         assert solution.total_bram <= 1648
         assert len(solution.plans) == 2
 
+    @pytest.mark.parametrize("slack", [float("nan"), -0.5, float("inf")])
+    def test_rejects_bad_slack(self, conv2_layer, slack):
+        partition = self._partition(conv2_layer)
+        with pytest.raises(ValueError, match="slack must be finite"):
+            optimize_memory(
+                partition, FLOAT32, bram_budget=1648,
+                cycle_target=partition.epoch_cycles, slack=slack,
+            )
+
     def test_infeasible_bram_returns_none(self, conv2_layer):
         partition = self._partition(conv2_layer)
         solution = optimize_memory(
@@ -193,3 +202,13 @@ class TestSystemTradeoffCurve:
         bws = [w for _, w in curve]
         assert brams == sorted(brams)
         assert bws == sorted(bws, reverse=True)
+
+    @pytest.mark.parametrize("slack", [float("nan"), -0.5, float("inf")])
+    def test_rejects_bad_slack(self, conv2_layer, slack):
+        partition = PartitionCandidate(
+            clps=(make_candidate(7, 64, [conv2_layer]),)
+        )
+        with pytest.raises(ValueError, match="slack must be finite"):
+            system_tradeoff_curve(
+                partition, FLOAT32, partition.epoch_cycles, slack=slack
+            )
