@@ -103,7 +103,7 @@ def main() -> None:
         print(
             f"verification: planned fleet meets SLO = {verification.meets} "
             f"(p99 {verification.worst_p99_ms:.1f} ms, "
-            f"drops {verification.worst_drop_rate:.1%})"
+            f"shed {verification.worst_shed_rate:.1%})"
         )
     print()
 

@@ -22,6 +22,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import List, Optional
 
@@ -824,16 +825,30 @@ def _traffic_window_cycles(args: argparse.Namespace, design, budget) -> float:
 
     A window shorter than the pipeline can never complete a request
     (every latency is >= depth * epoch); floor it at a few pipeline
-    latencies so the default invocation reports real percentiles.
+    latencies so the default invocation reports real percentiles, and
+    say so on stderr (stdout may be ``--json``).
     """
     from .serve import pipeline_latency_cycles
 
+    if not (math.isfinite(args.duration_ms) and args.duration_ms > 0):
+        raise ValueError(
+            "--duration-ms must be positive and finite, "
+            f"got {args.duration_ms}"
+        )
     duration_cycles = args.duration_ms * 1e-3 * budget.cycles_per_second
     if not args.drain:
-        duration_cycles = max(
-            duration_cycles,
-            3.0 * pipeline_latency_cycles(design, budget.bytes_per_cycle()),
+        floor = 3.0 * pipeline_latency_cycles(
+            design, budget.bytes_per_cycle()
         )
+        if duration_cycles < floor:
+            print(
+                f"note: --duration-ms {args.duration_ms:g} is shorter than "
+                f"3 pipeline latencies; simulating "
+                f"{floor / budget.cycles_per_second * 1e3:.1f} ms instead "
+                f"(pass --drain to keep the window)",
+                file=sys.stderr,
+            )
+            duration_cycles = floor
     return duration_cycles
 
 

@@ -1,20 +1,21 @@
 """The cluster simulator: N epoch-pipelined devices, one event engine.
 
-Scale-out layer over :mod:`repro.serve`: the same seeded arrival streams
-(one per tenant, keyed exactly as :func:`repro.serve.simulator.simulate_traffic`
-keys them), but each arrival is routed by a pluggable
+This is the one traffic engine.  Seeded arrival streams (one per
+tenant, keyed ``{seed}/{index}/{name}``) are routed by a pluggable
 :class:`~repro.fleet.balancer.Balancer` to one of N replicas, each an
-independent epoch-pipelined device model with its own per-tenant bounded
-FIFO queues, epoch boundary chain, and CLP busy accounting.  All
-replicas share one discrete-event engine, so cross-replica orderings are
-deterministic under a fixed seed.
+independent epoch-pipelined device model (:mod:`repro.serve.simulator`)
+with its own per-tenant bounded FIFO queues, epoch boundary chain, and
+CLP busy accounting.  All replicas share one discrete-event engine, so
+cross-replica orderings are deterministic under a fixed seed;
+scenario-free runs with static routing take the epoch-batched fast path
+(:mod:`repro.sim.fastpath`) with bit-identical results.
 
-The construction is deliberately a superset of the single-device
-simulator: with one replica, every arrival routes to it, the event
-structure degenerates to ``simulate_traffic``'s, and the per-tenant
-metrics come out *identical* — the differential tests pin this bit for
-bit.  That equivalence is what makes fleet-level answers (how many
-boards?) trustworthy extrapolations of the paper's device model.
+The single-device simulator is not a second engine: with one replica
+every arrival routes to it, and
+:func:`repro.serve.simulator.simulate_traffic` is exactly that run,
+reduced to a :class:`~repro.serve.metrics.ServeResult`.  Fleet-level
+answers (how many boards?) therefore extrapolate the very device model
+the single-device results come from.
 """
 
 from __future__ import annotations
@@ -327,7 +328,8 @@ class ClusterSimulator:
     ) -> FleetResult:
         """One seeded traffic window over the whole fleet.
 
-        Semantics mirror :func:`repro.serve.simulator.simulate_traffic`:
+        :func:`repro.serve.simulator.simulate_traffic` is a one-replica
+        run of this method, so the semantics are shared:
         ``drain=False`` cuts the run at the horizon (queued/pipelined
         requests reported in-flight); ``drain=True`` stops arrivals at
         the horizon but serves out every queue, so arrivals equal
@@ -619,8 +621,8 @@ class ClusterSimulator:
             )
 
         def start_stream(spec: TenantSpec, index: int) -> None:
-            # Same RNG keying as the single-device simulator: the fleet
-            # sees the *same* traffic a lone board would.
+            # One private RNG per tenant stream, keyed by (seed, tenant
+            # index, tenant name): any fleet size sees the *same* traffic.
             rng = random.Random(f"{seed}/{index}/{spec.name}")
             stream: Iterator[float] = processes[index].times(rng)
             limit = spec.limit
@@ -1178,22 +1180,25 @@ class ClusterSimulator:
                                 replica, state, arrival, gen, errored
                             ),
                         )
-                # Exact grid ``count * epoch`` — see the single-device
-                # boundary chain; chained ``now + epoch`` sums drift.
+                # Exact grid ``count * epoch``: chaining ``now + epoch``
+                # would accumulate float error over long horizons and
+                # drift from the fast path's batched grid.
                 upcoming = (count + 1) * epoch
-                pending = (
-                    any(state.queue for state in replica.states.values())
-                    or any(
-                        stream_open[index]
-                        for index, spec in enumerate(self.tenants)
-                        if replica.serves(spec.name)
+                if upcoming <= horizon or (
+                    drain
+                    and (
+                        any(state.queue for state in replica.states.values())
+                        or any(
+                            stream_open[index]
+                            for index, spec in enumerate(self.tenants)
+                            if replica.serves(spec.name)
+                        )
+                        or (
+                            controller is not None
+                            and controller.pending_deliveries > 0
+                        )
                     )
-                    or (
-                        controller is not None
-                        and controller.pending_deliveries > 0
-                    )
-                )
-                if upcoming <= horizon or (drain and pending):
+                ):
                     sim.schedule_at(upcoming, lambda: boundary(count + 1))
 
             return boundary
@@ -1221,7 +1226,6 @@ class ClusterSimulator:
                     recorder,
                     f"util/{replica.label}",
                     replica.clp_busy,
-                    aggregate="max",
                 )
                 for replica in replicas
             ]

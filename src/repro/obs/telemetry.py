@@ -287,27 +287,24 @@ class TenantGroupSampler:
 
 
 class BusySampler:
-    """Windowed busy fractions from a live list of busy-cycle counters.
+    """A replica's windowed duty factor from its live busy-cycle counters.
 
     ``busy`` is the simulator's mutable per-CLP accumulator; each sample
-    diffs it against the previous window.  With ``aggregate="max"`` one
-    series carries the epoch-limiting CLP's share (a replica's duty
-    factor); otherwise each counter gets its own ``<prefix><i>`` series.
-    Fractions clamp at 0 — a failure's admission-charge refund can pull
-    a window's delta negative, which reads as an idle window.
+    diffs it against the previous window, and the ``name`` series
+    carries the epoch-limiting CLP's share.  Fractions clamp at 0 — a
+    failure's admission-charge refund can pull a window's delta
+    negative, which reads as an idle window.
     """
 
     def __init__(
         self,
         recorder: MetricsRecorder,
-        prefix: str,
+        name: str,
         busy: "List[float]",
-        aggregate: str = "none",
     ):
         self.recorder = recorder
-        self.prefix = prefix
+        self.name = name
         self.busy = busy
-        self.aggregate = aggregate
         self._marks = [0.0] * len(busy)
         self._when = 0.0
 
@@ -319,15 +316,7 @@ class BusySampler:
             self._marks[index] = total
             fractions.append(max(0.0, delta / span) if span > 0 else 0.0)
         self._when = when
-        if self.aggregate == "max":
-            self.recorder.windowed(
-                self.prefix, window, max(fractions, default=0.0)
-            )
-        else:
-            for index, fraction in enumerate(fractions):
-                self.recorder.windowed(
-                    f"{self.prefix}{index}", window, fraction
-                )
+        self.recorder.windowed(self.name, window, max(fractions, default=0.0))
 
 
 @dataclass(frozen=True)

@@ -148,7 +148,9 @@ def compute_resilience(
 
     faults = [i for i in incidents if i.kind == "fault"]
     down_cycles = 0.0
-    for target in {i.target for i in faults}:
+    # First-seen order, not a set: float sums depend on their order, and
+    # a set of strings iterates in a PYTHONHASHSEED-dependent one.
+    for target in dict.fromkeys(i.target for i in faults):
         per_replica = _union(
             [
                 (i.start_cycles, i.end_cycles)

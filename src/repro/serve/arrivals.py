@@ -20,6 +20,7 @@ Four shapes cover the scenarios Section 4 of the paper motivates:
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Iterator, Sequence, Tuple
@@ -54,8 +55,11 @@ class ArrivalProcess:
 
 
 def _check_rate(rate: float) -> None:
-    if rate <= 0:
-        raise ValueError(f"arrival rate must be positive, got {rate}")
+    # NaN and inf pass a bare ``rate <= 0`` test, then hang the streams.
+    if not (math.isfinite(rate) and rate > 0):
+        raise ValueError(
+            f"arrival rate must be positive and finite, got {rate}"
+        )
 
 
 @dataclass(frozen=True)

@@ -103,17 +103,6 @@ class SLOReport:
         return max((t.drop_rate for t in self.tenants), default=0.0)
 
     @property
-    def worst_drop_rate(self) -> float:
-        """Alias of :attr:`worst_shed_rate`.
-
-        Historically named after the field it reads, but the verdicts
-        carry shed rates — tables printing this under a "drop" header
-        were silently including fault losses.  Kept for compatibility;
-        new code should use :attr:`worst_shed_rate`.
-        """
-        return self.worst_shed_rate
-
-    @property
     def total_goodput_rps(self) -> float:
         return sum(t.throughput_rps for t in self.tenants)
 

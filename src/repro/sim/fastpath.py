@@ -5,9 +5,9 @@ request; for plain open-loop runs — no fault scenario, no surge — the
 whole simulation is a deterministic function of the arrival times and
 the epoch grid, so it can be solved with batched numpy array ops
 instead of a callback loop.  This module is that solver, used by
-:func:`repro.serve.simulator.simulate_traffic` and
-:class:`repro.fleet.cluster.ClusterSimulator` when ``engine="fast"``
-(or ``"auto"`` without a scenario).
+:class:`repro.fleet.cluster.ClusterSimulator` (and so by
+:func:`repro.serve.simulator.simulate_traffic`, a one-replica fleet)
+when ``engine="fast"`` (or ``"auto"`` without a scenario).
 
 The contract is *bit-for-bit* equality with the event engine, not
 statistical agreement: every float in the result is produced by the
@@ -58,7 +58,6 @@ __all__ = [
     "ENGINES",
     "resolve_engine",
     "materialize_arrivals",
-    "run_serve_fast",
     "fleet_fast_supported",
     "run_fleet_fast",
 ]
@@ -210,7 +209,7 @@ class _StreamResult:
 
     __slots__ = (
         "s_adm", "adm_times", "drops", "queue_times",
-        "area", "mark", "peak", "last_boundary", "stream_close",
+        "area", "mark", "peak", "last_boundary",
     )
 
     def __init__(
@@ -222,7 +221,6 @@ class _StreamResult:
         area: float,
         mark: float,
         peak: int,
-        stream_close: int,
     ):
         self.s_adm = s_adm
         self.adm_times = adm_times
@@ -232,9 +230,8 @@ class _StreamResult:
         self.mark = mark
         self.peak = peak
         #: Boundary index of the last admission (0 when none): with the
-        #: stream-close index below, how far a drain must chain.
+        #: tenant stream's close index, how far a drain must chain.
         self.last_boundary = int(s_adm[-1]) if s_adm.size else 0
-        self.stream_close = stream_close
 
 
 def _solve_stream(
@@ -255,11 +252,10 @@ def _solve_stream(
     replay of the exact event semantics, still O(arrivals).
     """
     n = arrivals.size
-    stream_close = int(eligibility[-1]) if n else 0
     if n == 0:
         empty = np.empty(0, dtype=np.float64)
         return _StreamResult(
-            np.empty(0, dtype=np.int64), empty, 0, (), 0.0, 0.0, 0, 0
+            np.empty(0, dtype=np.int64), empty, 0, (), 0.0, 0.0, 0
         )
 
     index = np.arange(n, dtype=np.int64)
@@ -270,8 +266,7 @@ def _solve_stream(
     length = index - np.searchsorted(s, eligibility, side="left")
     if int(length.max()) >= queue_depth:
         return _solve_stream_serial(
-            arrivals, eligibility, epoch, last_k, queue_depth, policy,
-            drain, stream_close,
+            arrivals, eligibility, epoch, last_k, queue_depth, policy, drain
         )
 
     cutoff = np.searchsorted(s, last_k, side="right") if not drain else n
@@ -302,9 +297,7 @@ def _solve_stream(
     area = float(steps[-1])
     mark = float(times[-1])
     peak = int(length.max()) + 1
-    return _StreamResult(
-        s_adm, adm_times, 0, queue_times, area, mark, peak, stream_close
-    )
+    return _StreamResult(s_adm, adm_times, 0, queue_times, area, mark, peak)
 
 
 def _solve_stream_serial(
@@ -315,7 +308,6 @@ def _solve_stream_serial(
     queue_depth: int,
     policy: str,
     drain: bool,
-    stream_close: int,
 ) -> _StreamResult:
     """Reference replay for streams that drop: exact event semantics.
 
@@ -374,7 +366,6 @@ def _solve_stream_serial(
         area,
         mark,
         peak,
-        stream_close,
     )
 
 
@@ -412,7 +403,6 @@ def _fill_state(
     state.peak_queue = solved.peak
     state._occupancy_area = solved.area
     state._occupancy_mark = solved.mark
-    state.stream_open = False
     return float(finish[fired - 1]) if fired else None
 
 
@@ -420,56 +410,6 @@ def _charge_clps(clp_busy: List[float], state, admissions: int) -> None:
     """Admission-time CLP charges: exact integers, so one multiply."""
     for clp_index, cycles in enumerate(state.clp_cycles):
         clp_busy[clp_index] += admissions * cycles
-
-
-# ------------------------------------------------------------------ serve
-def run_serve_fast(
-    states: Sequence,
-    clp_busy: List[float],
-    epoch: float,
-    horizon: float,
-    seed: int,
-    drain: bool,
-) -> float:
-    """Solve a single-device run in place; returns the elapsed cycles.
-
-    ``states`` are the run's fresh ``TenantState`` objects (in tenant
-    order, as ``simulate_traffic`` builds them); each is filled with
-    exactly the counters and float accumulators the event loop would
-    have left behind, so the caller's result assembly is shared between
-    engines.  CLP busy cycles are charged through each state's
-    ``clp_cycles`` just as boundary admissions would.
-    """
-    last_k = _last_boundary(horizon, epoch)
-    chain_end = last_k
-    last_finish: Optional[float] = None
-    for index, state in enumerate(states):
-        arrivals = materialize_arrivals(
-            state.spec.process,
-            f"{seed}/{index}/{state.spec.name}",
-            state.spec.limit,
-            horizon,
-        )
-        solved = _solve_stream(
-            arrivals,
-            _eligibility(arrivals, epoch),
-            epoch,
-            last_k,
-            state.queue_depth,
-            state.policy,
-            drain,
-        )
-        finish = _fill_state(state, arrivals, solved, epoch, drain, horizon)
-        if finish is not None and (last_finish is None or finish > last_finish):
-            last_finish = finish
-        _charge_clps(clp_busy, state, int(solved.s_adm.size))
-        chain_end = max(chain_end, solved.last_boundary, solved.stream_close)
-    if not drain:
-        return horizon
-    elapsed = max(horizon, chain_end * epoch)
-    if last_finish is not None:
-        elapsed = max(elapsed, last_finish)
-    return elapsed
 
 
 # ------------------------------------------------------------------ fleet
@@ -533,14 +473,15 @@ def run_fleet_fast(
     """Solve a fleet run in place; returns the elapsed cycles.
 
     Each (replica, tenant) pair is an independent FIFO once routing is
-    fixed, so the fleet reduces to per-replica instances of the serve
-    solver — with one cross-cutting wrinkle: heap tie-breaks chain
-    through the *tenant's* full arrival stream (arrival ``i`` is always
-    scheduled by arrival ``i-1``, wherever that one routed), so
-    eligibility is computed on the full stream per epoch grid and only
-    then split by route.  A tenant's stream also keeps every replica
-    that serves it draining until the stream closes, routed there or
-    not, which is what ``stream_close`` carries across.
+    fixed, so the fleet reduces to per-replica instances of the
+    single-stream solver (``_solve_stream``) — with one cross-cutting
+    wrinkle: heap tie-breaks chain through the *tenant's* full arrival
+    stream (arrival ``i`` is always scheduled by arrival ``i-1``,
+    wherever that one routed), so eligibility is computed on the full
+    stream per epoch grid and only then split by route.  A tenant's
+    stream also keeps every replica that serves it draining until the
+    stream closes, routed there or not, which is what ``stream_close``
+    carries across.
     """
     last_finish: Optional[float] = None
     chain_ends = [

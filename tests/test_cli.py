@@ -175,3 +175,31 @@ class TestServeObsFlags:
         text = report.read_text()
         assert text.startswith("# Autoscale report")
         assert "## Window series" in text
+
+
+class TestTrafficWindowValidation:
+    @pytest.mark.parametrize("command", [["serve"], ["fleet", "simulate"]])
+    @pytest.mark.parametrize("duration", ["-10", "0", "nan", "inf"])
+    def test_rejects_bad_duration(self, command, duration):
+        with pytest.raises(SystemExit, match="--duration-ms must be positive"):
+            main(command + ["--network", "alexnet", "--rate", "50",
+                            f"--duration-ms={duration}"])
+
+    @pytest.mark.parametrize("rate", ["nan", "inf"])
+    def test_rejects_non_finite_rate(self, rate):
+        with pytest.raises(SystemExit, match="finite"):
+            main(["fleet", "simulate", "--network", "alexnet",
+                  "--rate", rate, "--duration-ms", "10"])
+
+    def test_floored_window_is_announced_on_stderr(self, capsys):
+        assert main(["fleet", "simulate", "--network", "alexnet",
+                     "--rate", "50", "--duration-ms", "10", "--json"]) == 0
+        captured = capsys.readouterr()
+        assert "--duration-ms 10 is shorter" in captured.err
+        # stdout stays one JSON document, and the floored window is used.
+        assert json.loads(captured.out)["horizon_cycles"] > 10 * 1e5
+
+    def test_unfloored_window_is_silent(self, capsys):
+        assert main(["serve", "--network", "alexnet", "--rate", "50",
+                     "--duration-ms", "10", "--drain"]) == 0
+        assert capsys.readouterr().err == ""

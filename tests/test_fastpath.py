@@ -387,8 +387,6 @@ class TestShedReportingRegression:
         worst = max(t.shed_rate for t in drill.tenants)
         assert report.worst_shed_rate == worst
         assert report.worst_shed_rate > 0
-        # the historical name is an alias of the honest one
-        assert report.worst_drop_rate == report.worst_shed_rate
         # verdicts expose the same value under both names
         for verdict in report.tenants:
             assert verdict.shed_rate == verdict.drop_rate

@@ -23,11 +23,15 @@ The load-bearing guarantees, in test order:
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.core.serialize import (
     SCENARIO_SCHEMA_VERSION,
     fleet_result_from_dict,
@@ -476,6 +480,34 @@ class TestResilienceMetrics:
             horizon_cycles=1000.0, num_replicas=1, lost_requests=0,
         )
         assert report.incident_cycles == pytest.approx(300.0)  # union
+
+    def test_availability_independent_of_hash_seed(self):
+        """Per-replica down time is summed in a fixed order.
+
+        Float addition is not associative, so summing the per-replica
+        outage totals in set order would make ``availability`` (and any
+        digest over it) depend on ``PYTHONHASHSEED``.
+        """
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        script = (
+            "from repro.scenario.faults import Incident\n"
+            "from repro.scenario.resilience import compute_resilience\n"
+            "incidents = [Incident('fault', f'AlexNet#{i}', 0.0, d, True)\n"
+            "             for i, d in enumerate([0.1, 0.2, 0.3, 0.7, 1e-3,\n"
+            "                                    0.35, 0.9, 0.123, 5e-5])]\n"
+            "report = compute_resilience(\n"
+            "    completions=[], incidents=incidents,\n"
+            "    horizon_cycles=1.0, num_replicas=4, lost_requests=0)\n"
+            "print(repr(report.availability))\n"
+        )
+        outputs = set()
+        for hash_seed in ("0", "1", "2", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            outputs.add(subprocess.run(
+                [sys.executable, "-c", script], env=env, check=True,
+                capture_output=True, text=True,
+            ).stdout)
+        assert len(outputs) == 1, outputs
 
 
 # ------------------------------------------------------------ serialization

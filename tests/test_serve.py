@@ -11,6 +11,8 @@ Three layers of assurance:
   to the cycle-level system simulator (``calibrate="simulate"``).
 """
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -21,6 +23,7 @@ from repro.core.serialize import (
     serve_result_from_dict,
     serve_result_to_dict,
 )
+from repro.obs import ObsSpec
 from repro.serve import (
     BurstyArrivals,
     ConstantRate,
@@ -34,6 +37,7 @@ from repro.serve import (
     service_capacity_rps,
     simulate_traffic,
 )
+from repro.serve.simulator import tenant_plans
 
 #: One compact profile for hypothesis: the engine is exercised hundreds
 #: of times per property, so every run must stay in the milliseconds.
@@ -131,6 +135,13 @@ class TestArrivals:
             BurstyArrivals(0.1, period_cycles=0.0)
         with pytest.raises(ValueError):
             make_arrival_process("weibull", 0.1)
+
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("kind", ["constant", "poisson", "bursty"])
+    def test_rejects_non_finite_rate(self, kind, rate):
+        # Both pass a bare ``rate <= 0`` guard and then never terminate.
+        with pytest.raises(ValueError, match="finite"):
+            make_arrival_process(kind, rate)
 
 
 # -------------------------------------------------------------- percentile
@@ -435,7 +446,7 @@ class TestSLO:
         result = _serve(toy_design, 4.0, epochs=40, queue_depth=2)
         report = evaluate_slo(result, SLOSpec(max_drop_rate=0.0))
         assert not report.meets
-        assert report.worst_drop_rate > 0
+        assert report.worst_shed_rate > 0
         assert any("drops" in v for t in report.tenants for v in t.violations)
 
     def test_tight_latency_violated(self, toy_design):
@@ -547,3 +558,113 @@ class TestServeCli:
             main([
                 "serve", "--network", "alexnet", "--rates", "10", "20",
             ])
+
+
+# ------------------------------------------------------------- result pins
+def _pin_tenants(design, mult, process, *, priorities=False):
+    """One stream per served network, ``mult`` times the epoch rate each."""
+    epoch = design.epoch_cycles
+    proc = make_arrival_process(process, mult / epoch,
+                                period_cycles=8.0 * epoch)
+    _, plans = tenant_plans(design)
+    return [TenantSpec(name, proc, priority=index if priorities else 0)
+            for index, name in enumerate(plans)]
+
+
+def _pin_case(case, toy, joint):
+    """(design, tenants, simulate_traffic kwargs) for one pinned run."""
+    from repro.serve.overload import (
+        AdmissionPolicy,
+        BrownoutPolicy,
+        OverloadSpec,
+        RetryPolicy,
+    )
+
+    design = joint if case.startswith("joint") else toy
+    epoch = design.epoch_cycles
+    epoch_ms = epoch / 1e5  # the default 100 MHz clock
+    plain = dict(duration_cycles=60 * epoch, seed=3, queue_depth=8)
+    if case == "toy-poisson-cut":
+        return design, _pin_tenants(design, 1.5, "poisson"), plain
+    if case == "toy-bursty-drain-drop-head":
+        return design, _pin_tenants(design, 2.0, "bursty"), dict(
+            plain, drain=True, policy="drop-head", queue_depth=3)
+    if case == "joint-poisson-drain-drop-head":
+        return design, _pin_tenants(design, 1.2, "poisson"), dict(
+            plain, duration_cycles=40 * epoch, drain=True,
+            policy="drop-head", queue_depth=4)
+    if case == "toy-edf-deadline-admission":
+        return design, _pin_tenants(design, 2.5, "poisson"), dict(
+            plain, queue_depth=64, overload=OverloadSpec(
+                queue_policy="edf",
+                admission=AdmissionPolicy(deadline_admission=True),
+                deadline_ms=4 * epoch_ms))
+    if case == "toy-token-bucket":
+        return design, _pin_tenants(design, 3.0, "poisson"), dict(
+            plain, overload=OverloadSpec(admission=AdmissionPolicy(
+                rate_rps=0.5 * 1e8 / epoch)))
+    if case == "toy-retries-hedge":
+        return design, _pin_tenants(design, 2.0, "poisson"), dict(
+            plain, queue_depth=4, drain=True, overload=OverloadSpec(
+                retry=RetryPolicy(max_attempts=3, base_ms=0.01,
+                                  hedge_ms=1.5 * epoch_ms)))
+    assert case == "joint-brownout"
+    return design, _pin_tenants(design, 1.0, "poisson", priorities=True), dict(
+        plain, duration_cycles=300 * epoch, queue_depth=64,
+        overload=OverloadSpec(
+            queue_policy="edf",
+            brownout=BrownoutPolicy(p99_ms=6 * epoch_ms,
+                                    window_ms=20 * epoch_ms),
+            deadline_ms=8 * epoch_ms))
+
+
+#: SHA-256 of each pinned run's serialized result (timeseries excluded),
+#: recorded from the single-device event loop that predates running
+#: ``simulate_traffic`` as a one-replica fleet.  Every engine and every
+#: observation setting must reproduce the same bytes.
+SERVE_PINS = {
+    "toy-poisson-cut":
+        "bf34b3e0675bddb3b81868307792f8e8d154a7afff1cd0e52231dea512d4d23f",
+    "toy-bursty-drain-drop-head":
+        "293cbb08418f63f7aae51dcb8d41763804ced37c6bf88dc63c0a53000d856a31",
+    "joint-poisson-drain-drop-head":
+        "c49843ba121473d226840a3f7e99a9a505d7b3a0aa7f5ce622386b770087b6b4",
+    "toy-edf-deadline-admission":
+        "1b36ae968467a32cd066f291715f0ae22e4c33001293210d1154bd8c8f3e61db",
+    "toy-token-bucket":
+        "436030a7af52eae4c6a1c70a741419b5f542d466287370142eac1ea8ba1128b9",
+    "toy-retries-hedge":
+        "fa4e0973a134436bbb343a47ee6c472067968e53742a65fefc60ab5f423fcb14",
+    "joint-brownout":
+        "158f4c9f14580092f9cf5cf4d9e7bba71c06342c98d29ac85f68cf1dd9bf6f13",
+}
+
+_PLAIN_PINS = ("toy-poisson-cut", "toy-bursty-drain-drop-head",
+               "joint-poisson-drain-drop-head")
+
+
+class TestServeResultPins:
+    """Byte-level pins on ``ServeResult`` across engines and features."""
+
+    @pytest.mark.parametrize("case,variant", [
+        (case, variant)
+        for case in SERVE_PINS
+        for variant in (("event", "fast", "observed")
+                        if case in _PLAIN_PINS else ("event", "observed"))
+    ])
+    def test_result_bytes_pinned(self, toy_design, joint_design_690t, case,
+                                 variant):
+        design, tenants, kwargs = _pin_case(case, toy_design,
+                                            joint_design_690t)
+        if variant == "observed":
+            kwargs = dict(kwargs, engine="event",
+                          obs=ObsSpec(timeseries=True, windows=7))
+        else:
+            kwargs = dict(kwargs, engine=variant)
+        result = simulate_traffic(design, tenants, **kwargs)
+        record = serve_result_to_dict(result)
+        assert (record.pop("timeseries", None) is None) == (
+            variant != "observed")
+        digest = hashlib.sha256(
+            json.dumps(record, sort_keys=True).encode()).hexdigest()
+        assert digest == SERVE_PINS[case]
