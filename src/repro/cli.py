@@ -690,7 +690,10 @@ def _cmd_gantt(args: argparse.Namespace) -> str:
     if args.load:
         from .core.serialize import load_design
 
-        design = load_design(args.load)
+        try:
+            design = load_design(args.load)
+        except ValueError as exc:
+            raise SystemExit(f"repro gantt: error: {exc}") from None
     else:
         network = get_network(args.network)
         dtype = DataType.from_name(args.dtype)

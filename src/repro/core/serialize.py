@@ -1,15 +1,40 @@
-"""JSON (de)serialization of networks, CLPs, and designs.
+"""JSON (de)serialization of designs, run results and specs.
 
 Optimization runs are cheap but not free; a deployment flow wants to
 pin the chosen accelerator configuration in version control and reload
 it for HLS generation, simulation, or scheduling without re-searching.
-The format is plain JSON with a schema version for forward evolution.
+Serve and fleet results, scenarios and SLOs are pinned the same way, as
+evidence next to the design they exercised.  The format is plain JSON;
+top-level design, result and scenario records carry a schema version
+for forward evolution.
+
+Designs, networks, layers, CLPs and budgets are written by hand: CLPs
+reference layers by name and designs add derived summary fields.  Every
+other record is a frozen dataclass and goes through one codec,
+:func:`to_record` / :func:`from_record`, driven by the dataclass fields
+and their type hints.  Its format rules live here and nowhere else:
+
+* A record holds its fields in declaration order.  The fields listed in
+  ``_OMIT_DEFAULT`` were added after schema 1 and are written only when
+  they differ from their default, so a run that does not use them
+  writes exactly the record an older writer wrote.
+* A field typed with a class that has a ``kind`` class attribute (fault
+  specs, surge shapes) is a tagged union: ``"kind"`` is written first
+  and picks the subclass on decode.
+* Decoding is strict.  Scalars are coerced by annotation, an absent
+  field takes its default (``None`` for an ``Optional`` field without
+  one), and a missing required field, an unknown key or an unknown
+  ``kind`` raises :class:`ValueError` naming the record type.  Only the
+  records in ``_IGNORE_UNKNOWN`` skip unknown keys.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
-from typing import Any, Dict, List, Optional
+import typing
+from typing import Any, Callable, Dict, List, Optional
 
 from .clp import CLPConfig
 from .datatypes import DataType
@@ -18,6 +43,8 @@ from .layer import ConvLayer
 from .network import Network
 
 __all__ = [
+    "to_record",
+    "from_record",
     "layer_to_dict",
     "layer_from_dict",
     "network_to_dict",
@@ -113,7 +140,11 @@ def clp_from_dict(
     record: Dict[str, Any], network: Network, dtype: DataType
 ) -> CLPConfig:
     """Rebuild a CLP from its record, resolving layer names in ``network``."""
-    layers = [network.layer_by_name(name) for name in record["layers"]]
+    names = record["layers"]
+    try:
+        layers = [network.layer_by_name(name) for name in names]
+    except KeyError as unknown:
+        raise ValueError(unknown.args[0]) from None
     return CLPConfig(
         tn=int(record["tn"]),
         tm=int(record["tm"]),
@@ -164,19 +195,256 @@ def design_to_dict(design: MultiCLPDesign) -> Dict[str, Any]:
 
 
 def design_from_dict(data: Dict[str, Any]) -> MultiCLPDesign:
+    """Rebuild a design; any malformed record raises :class:`ValueError`."""
+    if not isinstance(data, dict):
+        raise ValueError(
+            f"design record must be a JSON object, got {type(data).__name__}"
+        )
     schema = data.get("schema")
     if schema != SCHEMA_VERSION:
         raise ValueError(
             f"unsupported design schema {schema!r}; expected {SCHEMA_VERSION}"
         )
-    network = network_from_dict(data["network"])
-    dtype = DataType.from_name(data["dtype"])
-    clps: List[CLPConfig] = [
-        clp_from_dict(record, network, dtype) for record in data["clps"]
-    ]
+    try:
+        network = network_from_dict(data["network"])
+        dtype = DataType.from_name(data["dtype"])
+        clps: List[CLPConfig] = [
+            clp_from_dict(record, network, dtype) for record in data["clps"]
+        ]
+    except KeyError as missing:
+        raise ValueError(f"design record missing field {missing}") from None
     return MultiCLPDesign(network=network, clps=clps, dtype=dtype)
 
 
+# ------------------------------------------------------- dataclass records
+#: Fields written only when they differ from their default, by record
+#: type name.  Each was added after its record's schema 1, so a run that
+#: does not use it writes exactly the record an older writer wrote.
+_OMIT_DEFAULT: Dict[str, tuple] = {
+    "TenantStats": (
+        "rejected", "expired", "retries", "hedges", "late", "priority",
+        "timed_out", "failed_over",
+    ),
+    "ServeResult": ("timeseries", "overload"),
+    "FleetResult": ("timeseries", "overload", "detector"),
+    "ResilienceReport": ("mean_time_to_detect_cycles",),
+    "SLOSpec": ("deadline_ms", "min_goodput_rps"),
+    "OverloadSpec": ("admission", "retry", "brownout", "deadline_ms"),
+    "ScenarioSpec": ("surge", "overload", "detector"),
+}
+
+#: Record types whose decoder skips unknown keys rather than rejecting
+#: them, so a detector spec from a newer writer still loads.
+_IGNORE_UNKNOWN = ("DetectorSpec",)
+
+#: Scalar annotations and how a decoded JSON value is coerced to them.
+_SCALARS = {int: int, float: float, str: str, bool: bool}
+
+
+def to_record(value: Any) -> Dict[str, Any]:
+    """JSON-ready record of a dataclass instance (see the module rules)."""
+    return _encoder(type(value))(value)
+
+
+def from_record(cls: type, data: Any) -> Any:
+    """Rebuild an instance of dataclass or tagged base ``cls`` from ``data``."""
+    return _decoder(cls)(data)
+
+
+def _is_record(hint: Any) -> bool:
+    return isinstance(hint, type) and (
+        dataclasses.is_dataclass(hint) or _is_tagged(hint)
+    )
+
+
+def _is_tagged(cls: type) -> bool:
+    """True for a class whose ``kind`` is a class attribute, not a field."""
+    return isinstance(getattr(cls, "kind", None), str) and (
+        "kind" not in getattr(cls, "__dataclass_fields__", ())
+    )
+
+
+def _field_hints(cls: type) -> Dict[str, Any]:
+    """Resolved field annotations, including names that result records
+    import only under ``TYPE_CHECKING`` (imported here, on first use)."""
+    from ..fleet.detector import DetectorSpec
+    from ..obs.telemetry import TimeSeries
+    from ..serve.overload import OverloadReport
+
+    return typing.get_type_hints(cls, localns={
+        "DetectorSpec": DetectorSpec,
+        "OverloadReport": OverloadReport,
+        "TimeSeries": TimeSeries,
+    })
+
+
+def _optional_inner(hint: Any) -> Any:
+    """``X`` for ``Optional[X]``, else ``None``."""
+    if typing.get_origin(hint) is typing.Union:
+        args = [a for a in typing.get_args(hint) if a is not type(None)]
+        if len(args) == 1:
+            return args[0]
+    return None
+
+
+def _converter(
+    hint: Any, leaf: Callable[[Any], Optional[Callable[[Any], Any]]]
+) -> Optional[Callable[[Any], Any]]:
+    """Converter for values of type ``hint``; ``None`` keeps them as is.
+
+    ``Optional``, tuples, lists and dicts are unwrapped here; ``leaf``
+    gives the converter for anything else.
+    """
+    inner = _optional_inner(hint)
+    if inner is not None:
+        convert = _converter(inner, leaf)
+        if convert is None:
+            return None
+        return lambda value: None if value is None else convert(value)
+    origin = typing.get_origin(hint)
+    if origin in (tuple, list):
+        convert = _converter(typing.get_args(hint)[0], leaf)
+        if convert is None:
+            return origin
+        return lambda values: origin(map(convert, values))
+    if origin is dict:
+        convert = _converter(typing.get_args(hint)[1], leaf)
+        if convert is None:
+            return dict
+        return lambda mapping: {
+            key: convert(value) for key, value in mapping.items()
+        }
+    return leaf(hint)
+
+
+@functools.lru_cache(maxsize=None)
+def _encoder(cls: type) -> Callable[[Any], Dict[str, Any]]:
+    if not dataclasses.is_dataclass(cls):
+        raise TypeError(f"{cls.__name__} is not a dataclass record")
+    hints = _field_hints(cls)
+    omit = _OMIT_DEFAULT.get(cls.__name__, ())
+    leaf = lambda hint: to_record if _is_record(hint) else None  # noqa: E731
+    plan = [
+        (f.name, _converter(hints[f.name], leaf), f.name in omit, f.default)
+        for f in dataclasses.fields(cls)
+    ]
+    kind = cls.kind if _is_tagged(cls) else None
+
+    def encode(value: Any) -> Dict[str, Any]:
+        record: Dict[str, Any] = {} if kind is None else {"kind": kind}
+        for name, convert, omittable, default in plan:
+            item = getattr(value, name)
+            if omittable and item == default:
+                continue
+            record[name] = item if convert is None else convert(item)
+        return record
+
+    return encode
+
+
+def _decode_leaf(hint: Any) -> Optional[Callable[[Any], Any]]:
+    if hint in _SCALARS:
+        return _SCALARS[hint]
+    return _decoder(hint) if _is_record(hint) else None
+
+
+def _not_an_object(name: str, data: Any) -> ValueError:
+    return ValueError(
+        f"{name} record must be a JSON object, got {type(data).__name__}"
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _decoder(cls: type) -> Callable[[Any], Any]:
+    if not dataclasses.is_dataclass(cls):
+        if _is_tagged(cls):
+            return _tagged_decoder(cls)
+        raise TypeError(f"{cls.__name__} is not a dataclass record")
+    hints = _field_hints(cls)
+    fields = dataclasses.fields(cls)
+    decoders = {
+        f.name: _converter(hints[f.name], _decode_leaf) or (lambda v: v)
+        for f in fields
+    }
+    no_default = [
+        f.name for f in fields
+        if f.default is dataclasses.MISSING
+        and f.default_factory is dataclasses.MISSING
+    ]
+    required = [n for n in no_default if _optional_inner(hints[n]) is None]
+    required_keys = frozenset(required)
+    implied_none = [n for n in no_default if n not in required_keys]
+    skip = {"kind"} if _is_tagged(cls) else set()
+    ignore_unknown = cls.__name__ in _IGNORE_UNKNOWN
+    type_name = cls.__name__
+
+    def decode(data: Any) -> Any:
+        if not isinstance(data, dict):
+            raise _not_an_object(type_name, data)
+        kwargs: Dict[str, Any] = {}
+        try:
+            for key, value in data.items():
+                convert = decoders.get(key)
+                if convert is not None:
+                    kwargs[key] = convert(value)
+                elif not (ignore_unknown or key in skip):
+                    raise ValueError(
+                        f"{type_name} record has unknown field {key!r}"
+                    )
+        except TypeError as exc:
+            raise ValueError(
+                f"{type_name} record field {key!r}: {exc}"
+            ) from None
+        if not kwargs.keys() >= required_keys:
+            missing = next(name for name in required if name not in kwargs)
+            raise ValueError(f"{type_name} record missing field {missing!r}")
+        for name in implied_none:
+            kwargs.setdefault(name, None)
+        return cls(**kwargs)
+
+    return decode
+
+
+def _tagged_decoder(base: type) -> Callable[[Any], Any]:
+    """Decode a record into the subclass of ``base`` its ``kind`` names."""
+
+    def decode(data: Any) -> Any:
+        if not isinstance(data, dict):
+            raise _not_an_object(base.__name__, data)
+        kinds: Dict[str, type] = {}
+        pending = [base]
+        while pending:
+            for sub in pending.pop().__subclasses__():
+                if "kind" in vars(sub) and dataclasses.is_dataclass(sub):
+                    kinds.setdefault(sub.kind, sub)
+                pending.append(sub)
+        kind = data.get("kind")
+        if kind not in kinds:
+            raise ValueError(
+                f"unknown {base.__name__} kind {kind!r}; "
+                f"known: {', '.join(kinds)}"
+            )
+        return _decoder(kinds[kind])(data)
+
+    return decode
+
+
+def _unversioned(
+    data: Any, version: int, what: str, *, optional: bool = False
+) -> Dict[str, Any]:
+    """``data`` less its ``schema`` key, after checking the version
+    (``optional``: a record without the key is accepted)."""
+    if not isinstance(data, dict):
+        raise _not_an_object(what, data)
+    schema = data.get("schema", version if optional else None)
+    if schema != version:
+        raise ValueError(
+            f"unsupported {what} schema {schema!r}; expected {version}"
+        )
+    return {key: value for key, value in data.items() if key != "schema"}
+
+
+# ---------------------------------------------------- result/spec records
 def serve_result_to_dict(result: "ServeResult") -> Dict[str, Any]:
     """A self-contained, JSON-ready record of a traffic simulation.
 
@@ -184,166 +452,15 @@ def serve_result_to_dict(result: "ServeResult") -> Dict[str, Any]:
     exercised lets a deployment diff serving behaviour across optimizer
     or model changes the same way it diffs designs.
     """
-    from dataclasses import asdict
-
-    record = asdict(result)
-    # Unobserved runs must serialize byte-identically to pre-obs
-    # records, so the optional telemetry key is dropped when empty.
-    if record.get("timeseries") is None:
-        record.pop("timeseries", None)
-    _prune_overload_keys(record)
-    record["schema"] = SERVE_SCHEMA_VERSION
-    return record
-
-
-#: TenantStats fields introduced by overload control (and, later, by
-#: the failure detector's timeout/failover classes).  Every one is zero
-#: for a run with none of those features active, and every loader
-#: defaults an absent key to zero — so dropping zero-valued keys keeps
-#: plain records byte-identical to pre-overload records without losing
-#: information.
-_OVERLOAD_TENANT_KEYS = (
-    "rejected", "expired", "retries", "hedges", "late", "priority",
-    "timed_out", "failed_over",
-)
-
-
-def _prune_overload_keys(record: Dict[str, Any]) -> None:
-    """Strip overload-era keys that carry no information, in place.
-
-    Applies the same contract as the optional ``timeseries`` key to the
-    overload additions: a record written from an overload-free run must
-    be byte-identical to one written before overload control existed.
-    Mutates ``record`` (a serve- or fleet-result dict from ``asdict``).
-    """
-    if record.get("overload") is None:
-        record.pop("overload", None)
-    for tenant in record.get("tenants", ()):
-        for key in _OVERLOAD_TENANT_KEYS:
-            if tenant.get(key) == 0:
-                tenant.pop(key, None)
-    for replica in record.get("replicas", ()):
-        for tenant in replica.get("tenants", ()):
-            for key in _OVERLOAD_TENANT_KEYS:
-                if tenant.get(key) == 0:
-                    tenant.pop(key, None)
-
-
-def _tenant_stats_from_dict(entry: Dict[str, Any]) -> "TenantStats":
-    """Rebuild one per-tenant record (shared by serve and fleet loaders)."""
-    from ..serve.metrics import LatencySummary, TenantStats
-
-    latency = entry.get("latency")
-    return TenantStats(
-        name=entry["name"],
-        offered_rate_per_cycle=float(entry["offered_rate_per_cycle"]),
-        arrivals=int(entry["arrivals"]),
-        completions=int(entry["completions"]),
-        drops=int(entry["drops"]),
-        in_flight=int(entry["in_flight"]),
-        latency=None if latency is None else LatencySummary(**latency),
-        mean_queue_depth=float(entry["mean_queue_depth"]),
-        peak_queue_depth=int(entry["peak_queue_depth"]),
-        steady_rate_per_cycle=(
-            None
-            if entry.get("steady_rate_per_cycle") is None
-            else float(entry["steady_rate_per_cycle"])
-        ),
-        # Absent in pre-scenario records: those runs could not lose
-        # requests to failures, so 0 is the true historical value.
-        lost=int(entry.get("lost", 0)),
-        # Absent in pre-overload records (and in overload-free records,
-        # which prune zero-valued keys); 0 is the true historical value.
-        rejected=int(entry.get("rejected", 0)),
-        expired=int(entry.get("expired", 0)),
-        retries=int(entry.get("retries", 0)),
-        hedges=int(entry.get("hedges", 0)),
-        late=int(entry.get("late", 0)),
-        priority=int(entry.get("priority", 0)),
-        timed_out=int(entry.get("timed_out", 0)),
-        failed_over=int(entry.get("failed_over", 0)),
-    )
-
-
-def timeseries_to_dict(timeseries: "TimeSeries") -> Dict[str, Any]:
-    """JSON-ready record of run telemetry (standalone; results embed
-    the same shape via ``asdict``)."""
-    from dataclasses import asdict
-
-    return asdict(timeseries)
-
-
-def timeseries_from_dict(
-    data: Optional[Dict[str, Any]],
-) -> Optional["TimeSeries"]:
-    """Rebuild telemetry from a result record; tolerant of absence.
-
-    Pre-obs run records have no ``timeseries`` key at all — callers pass
-    ``data.get("timeseries")`` and get ``None`` back, the historical
-    truth for unobserved runs.
-    """
-    if data is None:
-        return None
-    from ..obs.telemetry import HistogramSummary, TimeSeries
-
-    series = {
-        name: tuple(
-            None if value is None else float(value) for value in values
-        )
-        for name, values in data["series"].items()
-    }
-    histograms = {
-        name: HistogramSummary(
-            edges=tuple(float(edge) for edge in entry["edges"]),
-            counts=tuple(int(count) for count in entry["counts"]),
-        )
-        for name, entry in data.get("histograms", {}).items()
-    }
-    return TimeSeries(
-        window_cycles=float(data["window_cycles"]),
-        times=tuple(float(t) for t in data["times"]),
-        series=series,
-        histograms=histograms,
-    )
+    return {**to_record(result), "schema": SERVE_SCHEMA_VERSION}
 
 
 def serve_result_from_dict(data: Dict[str, Any]) -> "ServeResult":
     from ..serve.metrics import ServeResult
 
-    schema = data.get("schema")
-    if schema != SERVE_SCHEMA_VERSION:
-        raise ValueError(
-            f"unsupported serve-result schema {schema!r}; "
-            f"expected {SERVE_SCHEMA_VERSION}"
-        )
-    tenants = [_tenant_stats_from_dict(entry) for entry in data["tenants"]]
-    return ServeResult(
-        design_label=data["design_label"],
-        num_clps=int(data["num_clps"]),
-        epoch_cycles=float(data["epoch_cycles"]),
-        pipeline_depths=tuple(int(d) for d in data["pipeline_depths"]),
-        frequency_mhz=float(data["frequency_mhz"]),
-        horizon_cycles=float(data["horizon_cycles"]),
-        elapsed_cycles=float(data["elapsed_cycles"]),
-        seed=int(data["seed"]),
-        queue_depth=int(data["queue_depth"]),
-        policy=data["policy"],
-        drained=bool(data["drained"]),
-        tenants=tuple(tenants),
-        clp_busy_fraction=tuple(float(f) for f in data["clp_busy_fraction"]),
-        timeseries=timeseries_from_dict(data.get("timeseries")),
-        overload=_overload_from_dict(data.get("overload")),
+    return from_record(
+        ServeResult, _unversioned(data, SERVE_SCHEMA_VERSION, "serve-result")
     )
-
-
-def _overload_from_dict(
-    data: Optional[Dict[str, Any]],
-) -> Optional["OverloadReport"]:
-    if data is None:
-        return None
-    from ..serve.overload import overload_report_from_dict
-
-    return overload_report_from_dict(data)
 
 
 def fleet_result_to_dict(result: "FleetResult") -> Dict[str, Any]:
@@ -353,191 +470,55 @@ def fleet_result_to_dict(result: "FleetResult") -> Dict[str, Any]:
     this design meet the SLO") is evidence worth pinning next to the
     design and traffic assumptions it was derived from.
     """
-    from dataclasses import asdict
-
-    record = asdict(result)
-    # Same contract as serve records: no telemetry key unless observed.
-    if record.get("timeseries") is None:
-        record.pop("timeseries", None)
-    _prune_overload_keys(record)
-    # Detector-era keys follow the same discipline: absent unless the
-    # run actually carried a detector / measured a detection lag, so
-    # legacy records re-serialize byte-identically.
-    if record.get("detector") is None:
-        record.pop("detector", None)
-    resilience = record.get("resilience")
-    if (
-        resilience is not None
-        and resilience.get("mean_time_to_detect_cycles") is None
-    ):
-        resilience.pop("mean_time_to_detect_cycles", None)
-    record["schema"] = FLEET_SCHEMA_VERSION
-    return record
+    return {**to_record(result), "schema": FLEET_SCHEMA_VERSION}
 
 
 def fleet_result_from_dict(data: Dict[str, Any]) -> "FleetResult":
-    from ..fleet.metrics import FleetResult, ReplicaStats
+    from ..fleet.metrics import FleetResult
 
-    schema = data.get("schema")
-    if schema != FLEET_SCHEMA_VERSION:
-        raise ValueError(
-            f"unsupported fleet-result schema {schema!r}; "
-            f"expected {FLEET_SCHEMA_VERSION}"
-        )
-    replicas = [
-        ReplicaStats(
-            label=entry["label"],
-            part=entry.get("part"),
-            epoch_cycles=float(entry["epoch_cycles"]),
-            pipeline_depths=tuple(int(d) for d in entry["pipeline_depths"]),
-            tenants=tuple(
-                _tenant_stats_from_dict(t) for t in entry["tenants"]
-            ),
-            clp_busy_fraction=tuple(
-                float(f) for f in entry["clp_busy_fraction"]
-            ),
-        )
-        for entry in data["replicas"]
-    ]
-    return FleetResult(
-        balancer=data["balancer"],
-        num_replicas=int(data["num_replicas"]),
-        frequency_mhz=float(data["frequency_mhz"]),
-        horizon_cycles=float(data["horizon_cycles"]),
-        elapsed_cycles=float(data["elapsed_cycles"]),
-        seed=int(data["seed"]),
-        queue_depth=int(data["queue_depth"]),
-        policy=data["policy"],
-        drained=bool(data["drained"]),
-        tenants=tuple(
-            _tenant_stats_from_dict(entry) for entry in data["tenants"]
-        ),
-        replicas=tuple(replicas),
-        scenario=data.get("scenario"),
-        incidents=tuple(
-            _incident_from_dict(entry) for entry in data.get("incidents", ())
-        ),
-        resilience=_resilience_from_dict(data.get("resilience")),
-        timeseries=timeseries_from_dict(data.get("timeseries")),
-        overload=_overload_from_dict(data.get("overload")),
-        detector=_detector_from_dict(data.get("detector")),
+    return from_record(
+        FleetResult, _unversioned(data, FLEET_SCHEMA_VERSION, "fleet-result")
     )
 
 
-def _detector_from_dict(
+def timeseries_to_dict(timeseries: "TimeSeries") -> Dict[str, Any]:
+    """JSON-ready record of run telemetry (results embed the same shape)."""
+    return to_record(timeseries)
+
+
+def timeseries_from_dict(
     data: Optional[Dict[str, Any]],
-) -> Optional["DetectorSpec"]:
-    if data is None:
-        return None
-    from ..fleet.detector import detector_spec_from_dict
+) -> Optional["TimeSeries"]:
+    """Rebuild telemetry from a result record; ``None`` passes through."""
+    from ..obs.telemetry import TimeSeries
 
-    return detector_spec_from_dict(data)
-
-
-def _incident_from_dict(entry: Dict[str, Any]) -> "Incident":
-    from ..scenario.faults import Incident
-
-    return Incident(
-        kind=entry["kind"],
-        target=entry["target"],
-        start_cycles=float(entry["start_cycles"]),
-        end_cycles=float(entry["end_cycles"]),
-        recovered=bool(entry["recovered"]),
-    )
-
-
-def _resilience_from_dict(
-    data: Optional[Dict[str, Any]],
-) -> Optional["ResilienceReport"]:
-    if data is None:
-        return None
-    from ..scenario.resilience import ResilienceReport, WindowMetrics
-
-    def window(entry: Dict[str, Any]) -> WindowMetrics:
-        return WindowMetrics(
-            cycles=float(entry["cycles"]),
-            completions=int(entry["completions"]),
-            goodput_per_cycle=float(entry["goodput_per_cycle"]),
-            p99_cycles=(
-                None if entry.get("p99_cycles") is None
-                else float(entry["p99_cycles"])
-            ),
-            p50_cycles=(
-                None if entry.get("p50_cycles") is None
-                else float(entry["p50_cycles"])
-            ),
-        )
-
-    ttr = data.get("mean_time_to_recover_cycles")
-    ttd = data.get("mean_time_to_detect_cycles")
-    return ResilienceReport(
-        availability=float(data["availability"]),
-        incident_cycles=float(data["incident_cycles"]),
-        lost_requests=int(data["lost_requests"]),
-        mean_time_to_recover_cycles=None if ttr is None else float(ttr),
-        during=window(data["during"]),
-        outside=window(data["outside"]),
-        mean_time_to_detect_cycles=None if ttd is None else float(ttd),
-    )
+    return None if data is None else from_record(TimeSeries, data)
 
 
 def scenario_spec_to_dict(spec: "ScenarioSpec") -> Dict[str, Any]:
     """JSON-ready record of a scenario spec (faults, surge, policy)."""
-    from ..scenario.library import scenario_to_dict
-
-    record = scenario_to_dict(spec)
-    record["schema"] = SCENARIO_SCHEMA_VERSION
-    return record
+    return {**to_record(spec), "schema": SCENARIO_SCHEMA_VERSION}
 
 
 def scenario_spec_from_dict(data: Dict[str, Any]) -> "ScenarioSpec":
     """Rebuild a scenario spec written by :func:`scenario_spec_to_dict`."""
-    from ..scenario.library import scenario_from_dict
+    from ..scenario.library import ScenarioSpec
 
-    schema = data.get("schema", SCENARIO_SCHEMA_VERSION)
-    if schema != SCENARIO_SCHEMA_VERSION:
-        raise ValueError(
-            f"unsupported scenario schema {schema!r}; "
-            f"expected {SCENARIO_SCHEMA_VERSION}"
-        )
-    return scenario_from_dict(data)
+    return from_record(ScenarioSpec, _unversioned(
+        data, SCENARIO_SCHEMA_VERSION, "scenario", optional=True
+    ))
 
 
 def slo_spec_to_dict(slo: "SLOSpec") -> Dict[str, Any]:
-    """JSON-ready record of an SLO contract.
-
-    The overload-era clauses (``deadline_ms``, ``min_goodput_rps``) are
-    emitted only when set, so a spec using none of them serializes to
-    exactly the record a pre-overload writer would have produced — and
-    a legacy record round-trips byte-identically.
-    """
-    record: Dict[str, Any] = {
-        "p99_ms": slo.p99_ms,
-        "max_drop_rate": slo.max_drop_rate,
-        "min_throughput_rps": slo.min_throughput_rps,
-    }
-    if slo.deadline_ms is not None:
-        record["deadline_ms"] = slo.deadline_ms
-    if slo.min_goodput_rps is not None:
-        record["min_goodput_rps"] = slo.min_goodput_rps
-    return record
+    """JSON-ready record of an SLO contract."""
+    return to_record(slo)
 
 
 def slo_spec_from_dict(data: Dict[str, Any]) -> "SLOSpec":
-    """Rebuild an SLO spec; tolerant of records missing newer clauses."""
+    """Rebuild an SLO spec; absent clauses keep their defaults."""
     from ..serve.slo import SLOSpec
 
-    def opt(key: str) -> Optional[float]:
-        value = data.get(key)
-        return None if value is None else float(value)
-
-    return SLOSpec(
-        p99_ms=opt("p99_ms"),
-        max_drop_rate=float(data.get("max_drop_rate", 0.0)),
-        min_throughput_rps=opt("min_throughput_rps"),
-        deadline_ms=opt("deadline_ms"),
-        min_goodput_rps=opt("min_goodput_rps"),
-    )
+    return from_record(SLOSpec, data)
 
 
 def dump_fleet_result(result: "FleetResult", path: str) -> None:

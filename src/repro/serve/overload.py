@@ -49,7 +49,7 @@ the fast path (regression-tested).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -60,6 +60,8 @@ from typing import (
     Sequence,
     Tuple,
 )
+
+from ..core.serialize import from_record, to_record
 
 if TYPE_CHECKING:
     from ..obs.telemetry import MetricsRecorder
@@ -962,79 +964,20 @@ class OverloadController:
 
 # ------------------------------------------------------------ serialization
 def overload_spec_to_dict(spec: OverloadSpec) -> Dict[str, Any]:
-    """JSON-ready record; optional sections omitted when disabled, so an
-    all-defaults spec round-trips to a minimal record."""
-    record: Dict[str, Any] = {"queue_policy": spec.queue_policy}
-    if spec.admission is not None:
-        from dataclasses import asdict
-
-        record["admission"] = asdict(spec.admission)
-    if spec.retry is not None:
-        from dataclasses import asdict
-
-        record["retry"] = asdict(spec.retry)
-    if spec.brownout is not None:
-        from dataclasses import asdict
-
-        record["brownout"] = asdict(spec.brownout)
-    if spec.deadline_ms is not None:
-        record["deadline_ms"] = spec.deadline_ms
-    return record
+    """JSON-ready record; disabled sections are omitted."""
+    return to_record(spec)
 
 
 def overload_spec_from_dict(data: Dict[str, Any]) -> OverloadSpec:
-    admission = data.get("admission")
-    retry = data.get("retry")
-    brownout = data.get("brownout")
-    deadline = data.get("deadline_ms")
-    return OverloadSpec(
-        queue_policy=str(data.get("queue_policy", "fifo")),
-        admission=None if admission is None else AdmissionPolicy(**admission),
-        retry=None if retry is None else RetryPolicy(**retry),
-        brownout=None if brownout is None else BrownoutPolicy(**brownout),
-        deadline_ms=None if deadline is None else float(deadline),
-    )
+    return from_record(OverloadSpec, data)
 
 
 def overload_report_to_dict(report: OverloadReport) -> Dict[str, Any]:
-    from dataclasses import asdict
-
-    return asdict(report)
+    return to_record(report)
 
 
 def overload_report_from_dict(
     data: Optional[Dict[str, Any]],
 ) -> Optional[OverloadReport]:
-    """Rebuild a report from a result record; tolerant of absence —
-    pre-overload records have no ``overload`` key at all."""
-    if data is None:
-        return None
-    return OverloadReport(
-        queue_policy=str(data["queue_policy"]),
-        window_cycles=float(data["window_cycles"]),
-        times=tuple(float(t) for t in data["times"]),
-        goodput={
-            str(key): tuple(int(v) for v in values)
-            for key, values in data["goodput"].items()
-        },
-        shed={
-            str(key): tuple(int(v) for v in values)
-            for key, values in data.get("shed", {}).items()
-        },
-        classes=tuple(
-            PriorityClassStats(
-                priority=int(entry["priority"]),
-                tenants=tuple(str(t) for t in entry["tenants"]),
-                arrivals=int(entry.get("arrivals", 0)),
-                completions=int(entry.get("completions", 0)),
-                good=int(entry.get("good", 0)),
-                rejected=int(entry.get("rejected", 0)),
-                expired=int(entry.get("expired", 0)),
-                late=int(entry.get("late", 0)),
-                retries=int(entry.get("retries", 0)),
-                hedges=int(entry.get("hedges", 0)),
-            )
-            for entry in data.get("classes", ())
-        ),
-        brownout_steps=int(data.get("brownout_steps", 0)),
-    )
+    """Rebuild a report; ``None`` (a pre-overload record) passes through."""
+    return None if data is None else from_record(OverloadReport, data)

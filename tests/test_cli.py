@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import copy
 import json
 
 import pytest
@@ -203,3 +204,71 @@ class TestTrafficWindowValidation:
         assert main(["serve", "--network", "alexnet", "--rate", "50",
                      "--duration-ms", "10", "--drain"]) == 0
         assert capsys.readouterr().err == ""
+
+
+def _drop_clps(record):
+    del record["clps"]
+    return record
+
+
+def _unknown_layer(record):
+    record["clps"][0]["layers"][0] = "conv9"
+    return record
+
+
+class TestMalformedInputs:
+    """Bad input files end in one error line and exit status 1."""
+
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda r: r["tenants"][0]["latency"].update(bogus=1),
+             "LatencySummary record has unknown field 'bogus'"),
+            (lambda r: r["tenants"][0].pop("arrivals"),
+             "TenantStats record missing field 'arrivals'"),
+        ],
+        ids=["extra-latency-key", "missing-arrivals"],
+    )
+    def test_report_on_malformed_run(self, tmp_path, mutate, message):
+        with open(SAMPLE_RUN) as handle:
+            record = json.load(handle)
+        mutate(record)
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(record))
+        with pytest.raises(SystemExit) as excinfo:
+            main(["report", str(path)])
+        assert excinfo.value.code == f"repro report: error: {message}"
+
+    @pytest.fixture(scope="class")
+    def design_record(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("design") / "design.json"
+        main(["optimize", "--single", "--save", str(path)])
+        return json.loads(path.read_text())
+
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (_drop_clps, "design record missing field 'clps'"),
+            (_unknown_layer, "network 'AlexNet' has no layer 'conv9'"),
+            (lambda record: [record],
+             "design record must be a JSON object, got list"),
+        ],
+        ids=["no-clps", "unknown-layer", "top-level-list"],
+    )
+    @pytest.mark.parametrize(
+        "argv, prefix",
+        [
+            (["serve", "--rate", "100"], "repro serve"),
+            (["fleet", "simulate", "--rate", "100"], "repro fleet simulate"),
+            (["gantt"], "repro gantt"),
+        ],
+        ids=["serve", "fleet-simulate", "gantt"],
+    )
+    def test_load_malformed_design(
+        self, tmp_path, design_record, argv, prefix, mutate, message
+    ):
+        path = tmp_path / "design.json"
+        path.write_text(json.dumps(mutate(copy.deepcopy(design_record))))
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--load", str(path)])
+        assert excinfo.value.code == f"{prefix}: error: {message}"
