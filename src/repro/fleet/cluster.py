@@ -20,6 +20,7 @@ the single-device results come from.
 
 from __future__ import annotations
 
+import math
 import random
 from typing import (
     TYPE_CHECKING,
@@ -396,8 +397,11 @@ class ClusterSimulator:
         )
         from ..serve.overload import OverloadController, OverloadSpec
 
-        if duration_cycles <= 0:
-            raise ValueError("duration_cycles must be positive")
+        if not (math.isfinite(duration_cycles) and duration_cycles > 0):
+            raise ValueError(
+                "duration_cycles must be finite and positive, "
+                f"got {duration_cycles!r}"
+            )
         if isinstance(scenario, str):
             scenario = get_scenario(scenario)
         if overload is None and scenario is not None:

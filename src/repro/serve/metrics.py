@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
+import numpy as np
+
 if TYPE_CHECKING:  # annotation only; results never construct telemetry
     from ..obs.telemetry import TimeSeries
     from .overload import OverloadReport
@@ -55,17 +57,19 @@ class LatencySummary:
         # One sort serves every percentile: calling ``percentile`` per
         # quantile re-sorted the full list three times, which dominated
         # the reduction cost for large runs.  Nearest-rank selection on
-        # the shared sorted copy returns the exact same elements.
-        ordered = sorted(latencies)
+        # the shared sorted copy returns the exact same elements.  The
+        # mean stays ``sum`` over the list: a numpy sum adds in another
+        # order and would change the reported mean.
+        ordered = np.sort(np.asarray(latencies, dtype=np.float64))
         n = len(ordered)
         return cls(
             count=n,
             mean=sum(latencies) / n,
-            p50=ordered[int(max(1, -(-n * 50 // 100))) - 1],
-            p95=ordered[int(max(1, -(-n * 95 // 100))) - 1],
-            p99=ordered[int(max(1, -(-n * 99 // 100))) - 1],
-            min=ordered[0],
-            max=ordered[-1],
+            p50=float(ordered[int(max(1, -(-n * 50 // 100))) - 1]),
+            p95=float(ordered[int(max(1, -(-n * 95 // 100))) - 1]),
+            p99=float(ordered[int(max(1, -(-n * 99 // 100))) - 1]),
+            min=float(ordered[0]),
+            max=float(ordered[-1]),
         )
 
 

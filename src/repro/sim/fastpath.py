@@ -34,6 +34,23 @@ have used.  The three places this bites, and how they are replicated:
 CLP busy cycles are integer-valued and far below 2**53, so their float
 accumulation is exact in any order and needs no special care.
 
+Per-request work is array operations, except where an arrival
+process's generator has to be replayed:
+
+* **Arrivals.**  Constant-rate streams are a closed form; Poisson
+  streams draw their uniforms in blocks straight from the generator's
+  MT19937 words (``_poisson_times``); other processes replay their
+  generator.
+* **Queues.**  ``_solve_stream`` solves one FIFO queue, filling or not,
+  under either drop policy.  The queue length after each push is a
+  clamp-shift map ``x -> min(depth, max(1, x + 1 - m))`` of the one
+  before, ``m`` being the boundaries fired in between.  Such maps
+  compose into maps of the same form, so every length comes from one
+  prefix scan (``_clamp_scan``, ``ceil(log2 n)`` doubling passes), or
+  from a ``cumsum`` and a ``minimum.accumulate`` when no queue fills.
+  Admissions, drops, the served arrivals and the occupancy integral
+  all follow from the lengths.
+
 The fleet solver covers balancers whose routing is a function of the
 per-tenant arrival index alone — round-robin (per-tenant counters),
 tenant-affinity (a pure hash), and any policy when a tenant has exactly
@@ -46,13 +63,14 @@ promise about results, not mechanism.
 
 from __future__ import annotations
 
+import math
 import random
 from collections import deque
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..serve.arrivals import ArrivalProcess, ConstantRate
+from ..serve.arrivals import ArrivalProcess, ConstantRate, PoissonArrivals
 
 __all__ = [
     "ENGINES",
@@ -113,6 +131,62 @@ def resolve_engine(
 
 
 # --------------------------------------------------------------- arrivals
+#: Most Poisson gaps drawn per block: large enough to amortize the
+#: per-block calls, small enough to keep the block's temporaries small.
+_POISSON_BLOCK = 8192
+
+
+def _poisson_times(
+    rate: float, rng: random.Random, limit: Optional[int], horizon: float
+) -> np.ndarray:
+    """``PoissonArrivals.times`` up to ``limit``/``horizon``, in blocks.
+
+    ``expovariate`` is ``-log(1.0 - random()) / rate`` and ``random()``
+    is ``((w0 >> 5) * 2**26 + (w1 >> 6)) * 2**-53`` over two 32-bit
+    MT19937 words.  ``getrandbits(64 * k)`` returns the next ``2k``
+    words little-endian, so a block reproduces ``k`` calls' uniforms
+    exactly and leaves the generator where they would.  The log is
+    ``math.log`` per draw (``numpy.log`` may differ in the last ulp), and
+    ``cumsum`` seeded with the previous time is the generator's running
+    ``now += gap`` fold.  A block covers the expected arrivals left
+    before the horizon plus four standard deviations, so short streams
+    draw little more than they use; draws past the stop are discarded
+    with the generator, which no one else reads.
+    """
+    blocks: List[np.ndarray] = []
+    now = 0.0
+    count = 0
+    while limit is None or count < limit:
+        expected = (horizon - now) * rate
+        spread = 4.0 * math.sqrt(expected) + 16
+        size = int(min(_POISSON_BLOCK, expected + spread))
+        if limit is not None:
+            size = min(size, limit - count)
+        words = np.frombuffer(
+            rng.getrandbits(64 * size).to_bytes(8 * size, "little"),
+            dtype="<u4",
+        )
+        uniform = ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) * (
+            1.0 / 9007199254740992.0
+        )
+        logs = np.fromiter(
+            map(math.log, (1.0 - uniform).tolist()), np.float64, size
+        )
+        gaps = -logs / rate
+        gaps[0] += now
+        times = np.cumsum(gaps)
+        cut = int(np.searchsorted(times, horizon, side="right"))
+        if cut < size:
+            blocks.append(times[:cut])
+            break
+        blocks.append(times)
+        now = float(times[-1])
+        count += size
+    if not blocks:
+        return np.empty(0, dtype=np.float64)
+    return np.concatenate(blocks)
+
+
 def materialize_arrivals(
     process: ArrivalProcess,
     seed_key: str,
@@ -124,10 +198,13 @@ def materialize_arrivals(
     Replicates the event loop's pump exactly: stop at ``limit``
     arrivals, at stream exhaustion, or at the first time beyond the
     horizon.  Constant-rate streams (the common benchmark shape) are
-    generated without touching the RNG — their generator ignores it —
-    while stochastic processes replay ``random.Random(seed_key)``
+    generated without touching the RNG — their generator ignores it.
+    Stochastic processes replay ``random.Random(seed_key)``
     draw-for-draw, which keeps the traffic identical to the event
-    engine's streams by construction.
+    engine's streams by construction: Poisson streams in array blocks
+    (:func:`_poisson_times`), every other process (including any
+    ``PoissonArrivals`` subclass, which may override ``times``) through
+    its generator.
     """
     if isinstance(process, ConstantRate):
         period = 1.0 / process.rate
@@ -138,6 +215,8 @@ def materialize_arrivals(
             times = times[:limit]
         return times
     rng = random.Random(seed_key)
+    if type(process) is PoissonArrivals:
+        return _poisson_times(process.rate, rng, limit, horizon)
     stream: Iterator[float] = process.times(rng)
     out: List[float] = []
     while limit is None or len(out) < limit:
@@ -234,6 +313,33 @@ class _StreamResult:
         self.last_boundary = int(s_adm[-1]) if s_adm.size else 0
 
 
+def _clamp_scan(gaps: np.ndarray, depth: int) -> np.ndarray:
+    """Queue length after each push when the queue may fill.
+
+    Each arrival maps the previous length ``x`` to
+    ``min(depth, max(1, x + 1 - gap))``.  Maps of the clamp-shift form
+    ``x -> min(hi, max(lo, x + c))`` compose into the same form, so an
+    inclusive prefix scan over ``(c, lo, hi)`` in doubling passes yields
+    every composed map; applying each to the empty queue (0) gives the
+    lengths.
+    """
+    n = gaps.size
+    c = 1 - gaps
+    lo = np.ones(n, dtype=np.int64)
+    hi = np.full(n, depth, dtype=np.int64)
+    step = 1
+    while step < n:
+        # Compose map i-step (applied first) into map i.
+        c_b, lo_b, hi_b = c[step:], lo[step:], hi[step:]
+        new_lo = np.minimum(hi_b, np.maximum(lo_b, lo[:-step] + c_b))
+        new_hi = np.minimum(hi_b, np.maximum(lo_b, hi[:-step] + c_b))
+        c[step:] = c[:-step] + c_b
+        lo[step:] = new_lo
+        hi[step:] = new_hi
+        step *= 2
+    return np.minimum(hi, np.maximum(lo, c))
+
+
 def _solve_stream(
     arrivals: np.ndarray,
     eligibility: np.ndarray,
@@ -246,10 +352,22 @@ def _solve_stream(
     """Solve one FIFO admission queue against one boundary grid.
 
     ``last_k`` is the last boundary that exists without draining; in
-    drain mode the chain extends as far as pending work requires.  The
-    vectorized branch handles the no-drop case (one closed-form
-    recurrence); any run that would drop falls back to a serial Python
-    replay of the exact event semantics, still O(arrivals).
+    drain mode the chain extends as far as pending work requires.
+
+    Arrival ``i`` fires just before boundary ``e_i`` (its eligibility),
+    so the boundaries that can pop between arrivals ``i-1`` and ``i``
+    are ``e_{i-1} .. e_i - 1``, capped at ``last_k``: ``m_i`` of them.
+    Each pops one waiter while any remain, so the length after the push
+    follows ``L_i = min(D, max(1, L_{i-1} + 1 - m_i))``.  Without the
+    ``D`` barrier that is a Lindley recursion (one ``cumsum`` and one
+    ``minimum.accumulate``); when a queue fills, :func:`_clamp_scan`
+    solves the two-barrier form.  Everything else follows from the
+    lengths: ``min(L_{i-1}, m_i)`` pops in gap ``i`` at boundaries
+    ``e_{i-1}, e_{i-1}+1, ...``; a drop wherever an arrival finds
+    ``D`` waiters; and, since the queue is a contiguous run of arrival
+    indexes under drop-head (of accepted ones under drop-tail), which
+    arrival each pop serves.  The occupancy integral is one ``cumsum``
+    over pop and arrival events laid out in fire order.
     """
     n = arrivals.size
     if n == 0:
@@ -258,113 +376,81 @@ def _solve_stream(
             np.empty(0, dtype=np.int64), empty, 0, (), 0.0, 0.0, 0
         )
 
-    index = np.arange(n, dtype=np.int64)
-    # FIFO with one admission per boundary: s_i = max(s_{i-1}+1, e_i).
-    s = index + np.maximum.accumulate(eligibility - index)
-    # Queue length each arrival observes just before its push: arrivals
-    # admitted strictly before its fire are exactly those with s < e.
-    length = index - np.searchsorted(s, eligibility, side="left")
-    if int(length.max()) >= queue_depth:
-        return _solve_stream_serial(
-            arrivals, eligibility, epoch, last_k, queue_depth, policy, drain
-        )
-
-    cutoff = np.searchsorted(s, last_k, side="right") if not drain else n
-    s_adm = s[:cutoff]
-    adm_times = arrivals[:cutoff]
-    queue_times = arrivals[cutoff:].tolist()
-
-    # Occupancy integral in event order: pushes keyed by eligibility
-    # (an arrival fires just before boundary e), pops keyed by their
-    # admission boundary, pushes winning boundary-index ties (the
-    # arrival fired first — that is what eligibility encodes).
-    kind = np.concatenate(
-        (np.zeros(n, dtype=np.int64), np.ones(cutoff, dtype=np.int64))
-    )
-    key = np.concatenate((eligibility, s_adm))
-    times = np.concatenate((arrivals, s_adm * epoch))
-    delta = np.concatenate(
-        (np.ones(n, dtype=np.int64), -np.ones(cutoff, dtype=np.int64))
-    )
-    order = np.lexsort((kind, key))
-    times = times[order]
-    running = np.cumsum(delta[order])
-    before = running - delta[order]
-    prev_times = np.empty_like(times)
-    prev_times[1:] = times[:-1]
-    prev_times[0] = 0.0
-    steps = np.cumsum(before * (times - prev_times))
-    area = float(steps[-1])
-    mark = float(times[-1])
-    peak = int(length.max()) + 1
-    return _StreamResult(s_adm, adm_times, 0, queue_times, area, mark, peak)
-
-
-def _solve_stream_serial(
-    arrivals: np.ndarray,
-    eligibility: np.ndarray,
-    epoch: float,
-    last_k: int,
-    queue_depth: int,
-    policy: str,
-    drain: bool,
-) -> _StreamResult:
-    """Reference replay for streams that drop: exact event semantics.
-
-    Walks arrivals and the boundaries interleaved between them in fire
-    order, touching the occupancy integral with plain Python float ops
-    exactly where ``TenantState`` would.  Boundaries with an empty
-    queue are skipped wholesale (they touch nothing), keeping the loop
-    O(arrivals) even over very long horizons.
-    """
-    queue: deque = deque()
-    area = 0.0
-    mark = 0.0
-    peak = 0
-    drops = 0
-    s_list: List[int] = []
-    adm_list: List[float] = []
-    next_k = 1
-
-    def pop_until(limit_k: int) -> None:
-        nonlocal area, mark, next_k
-        while queue and next_k <= limit_k:
-            t_k = next_k * epoch
-            area += len(queue) * (t_k - mark)
-            mark = t_k
-            adm_list.append(queue.popleft())
-            s_list.append(next_k)
-            next_k += 1
-
-    for i in range(arrivals.size):
-        when = float(arrivals[i])
-        fires_at = int(eligibility[i])
-        # Boundaries before this arrival's fire serve the queue first.
-        pop_until(min(fires_at - 1, last_k) if not drain else fires_at - 1)
-        if not queue:
-            next_k = max(next_k, fires_at)
-        area += len(queue) * (when - mark)
-        mark = when
-        if len(queue) >= queue_depth:
-            drops += 1
-            if policy == "drop-tail":
-                continue
-            queue.popleft()  # drop-head: evict the stalest waiter
-        queue.append(when)
-        if len(queue) > peak:
-            peak = len(queue)
+    # gaps[i]: boundaries that fire between arrivals i-1 and i, with
+    # gaps[0] = 0 (the queue is empty before the first arrival) and
+    # gaps[n] the boundaries left after the last one.
+    gaps = np.empty(n + 1, dtype=np.int64)
+    gaps[0] = 0
     if drain:
-        # Draining chains one boundary per remaining waiter until empty.
-        pop_until(next_k + len(queue))
+        np.subtract(eligibility[1:], eligibility[:-1], out=gaps[1:n])
     else:
-        pop_until(last_k)
+        capped = np.minimum(eligibility[1:], last_k + 1)
+        np.maximum(capped - eligibility[:-1], 0, out=gaps[1:n])
+    # Lengths after each push, first without the depth barrier.
+    rise = np.cumsum(1 - gaps[:n])
+    length = rise - np.minimum.accumulate(rise) + 1
+    peak = int(length.max())
+    full = peak > queue_depth
+    if full:
+        # The barrier binds: some arrival finds the queue full.
+        length = _clamp_scan(gaps[:n], queue_depth)
+        peak = queue_depth
+    held = int(length[-1])
+    if drain:
+        gaps[n] = held  # the chain runs until the queue is empty
+    else:
+        gaps[n] = max(0, last_k + 1 - int(eligibility[-1]))
+
+    # prior[g]: waiters just after arrival g-1 (0 before the first).
+    prior = np.empty(n + 1, dtype=np.int64)
+    prior[0] = 0
+    prior[1:] = length
+    pops = np.minimum(prior, gaps)
+    before = prior[:n] - pops[:n]  # waiters each arrival finds
+    popped = np.cumsum(pops)
+    total = int(popped[-1])
+
+    # Pop j falls in gap g at offset t: boundary e_{g-1} + t.
+    gap_of = np.repeat(np.arange(n + 1, dtype=np.int64), pops)
+    offset = np.arange(total, dtype=np.int64) - (popped - pops)[gap_of]
+    start = np.empty(n + 1, dtype=np.int64)
+    start[0] = 0
+    start[1:] = eligibility
+    s_adm = start[gap_of] + offset
+
+    if not full:
+        drops = 0
+        adm_times = arrivals[:total]
+        queue_times = arrivals[total:].tolist()
+    else:
+        dropped = before >= queue_depth
+        drops = int(np.count_nonzero(dropped))
+        if policy == "drop-tail":
+            accepted = np.flatnonzero(~dropped)
+            adm_times = arrivals[accepted[:total]]
+            queue_times = arrivals[accepted[total:]].tolist()
+        else:
+            # After arrival g-1 the queue holds arrivals g-prior[g]..g-1.
+            adm_times = arrivals[gap_of - prior[gap_of] + offset]
+            queue_times = arrivals[n - (held - int(pops[n])):].tolist()
+
+    # Events in fire order: gap g's pops, then arrival g.
+    times = np.empty(n + total, dtype=np.float64)
+    waiting = np.empty(n + total, dtype=np.int64)
+    at_arrival = np.arange(n, dtype=np.int64) + popped[:n]
+    at_pop = np.arange(total, dtype=np.int64) + gap_of
+    times[at_arrival] = arrivals
+    waiting[at_arrival] = before
+    times[at_pop] = s_adm * epoch
+    waiting[at_pop] = prior[gap_of] - offset
+    steps = np.cumsum(waiting * np.diff(times, prepend=0.0))
     return _StreamResult(
-        np.asarray(s_list, dtype=np.int64),
-        np.asarray(adm_list, dtype=np.float64),
+        s_adm,
+        adm_times,
         drops,
-        list(queue),
-        area,
-        mark,
+        queue_times,
+        float(steps[-1]),
+        float(times[-1]),
         peak,
     )
 

@@ -17,7 +17,12 @@ statistically similar ones.  The tests here hold it to that promise:
 """
 
 import math
+import random
+import signal
+from collections import deque
+from contextlib import contextmanager
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -27,6 +32,7 @@ from repro.fleet import BALANCER_NAMES, DeviceSpec, simulate_fleet
 from repro.scenario import RedundancyOutage, ScenarioSpec
 from repro.serve import (
     SLOSpec,
+    PoissonArrivals,
     TenantSpec,
     TraceArrivals,
     evaluate_slo,
@@ -35,6 +41,7 @@ from repro.serve import (
 )
 from repro.serve.metrics import LatencySummary
 from repro.sim import ENGINES, Simulator, resolve_engine
+from repro.sim import fastpath
 
 FAST = settings(
     max_examples=25,
@@ -220,6 +227,246 @@ class TestFleetDifferential:
             rate_mult=2.0,
         )
         assert fleet_result_to_dict(fast) == fleet_result_to_dict(event)
+
+
+# ------------------------------------------------- solver unit differential
+def _serial_replay(arrivals, eligibility, epoch, last_k, queue_depth,
+                   policy, drain):
+    """Reference replay of one FIFO queue: exact event semantics.
+
+    Walks arrivals and the boundaries interleaved between them in fire
+    order, touching the occupancy integral with plain Python float ops
+    exactly where ``TenantState`` would.  Boundaries with an empty
+    queue are skipped wholesale (they touch nothing).
+    """
+    queue = deque()
+    area = 0.0
+    mark = 0.0
+    peak = 0
+    drops = 0
+    s_list = []
+    adm_list = []
+    next_k = 1
+
+    def pop_until(limit_k):
+        nonlocal area, mark, next_k
+        while queue and next_k <= limit_k:
+            t_k = next_k * epoch
+            area += len(queue) * (t_k - mark)
+            mark = t_k
+            adm_list.append(queue.popleft())
+            s_list.append(next_k)
+            next_k += 1
+
+    for i in range(arrivals.size):
+        when = float(arrivals[i])
+        fires_at = int(eligibility[i])
+        # Boundaries before this arrival's fire serve the queue first.
+        pop_until(min(fires_at - 1, last_k) if not drain else fires_at - 1)
+        if not queue:
+            next_k = max(next_k, fires_at)
+        area += len(queue) * (when - mark)
+        mark = when
+        if len(queue) >= queue_depth:
+            drops += 1
+            if policy == "drop-tail":
+                continue
+            queue.popleft()  # drop-head: evict the stalest waiter
+        queue.append(when)
+        if len(queue) > peak:
+            peak = len(queue)
+    if drain:
+        # Draining chains one boundary per remaining waiter until empty.
+        pop_until(next_k + len(queue))
+    else:
+        pop_until(last_k)
+    return fastpath._StreamResult(
+        np.asarray(s_list, dtype=np.int64),
+        np.asarray(adm_list, dtype=np.float64),
+        drops,
+        list(queue),
+        area,
+        mark,
+        peak,
+    )
+
+
+def _assert_same_stream(got, want):
+    assert got.s_adm.dtype == want.s_adm.dtype
+    assert got.s_adm.tolist() == want.s_adm.tolist()
+    assert got.adm_times.dtype == want.adm_times.dtype
+    assert got.adm_times.tolist() == want.adm_times.tolist()
+    assert got.drops == want.drops
+    assert list(got.queue_times) == list(want.queue_times)
+    # repr tells -0.0 from 0.0, which == does not.
+    assert repr(got.area) == repr(want.area)
+    assert repr(got.mark) == repr(want.mark)
+    assert got.peak == want.peak
+    assert got.last_boundary == want.last_boundary
+
+
+def _solve_both(times, epoch, last_k, queue_depth, policy, drain):
+    arrivals = np.asarray(sorted(times), dtype=np.float64)
+    eligibility = fastpath._eligibility(arrivals, epoch)
+    args = (arrivals, eligibility, epoch, last_k, queue_depth, policy, drain)
+    return fastpath._solve_stream(*args), _serial_replay(*args)
+
+
+class TestSolveStreamDifferential:
+    """The array solver matches the per-arrival replay on every field."""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        epoch=st.sampled_from([1.0, 0.7, 3.0, 0.007]),
+        slots=st.lists(
+            st.one_of(
+                st.integers(0, 40).map(float),  # exact k * epoch ties
+                st.floats(0.0, 40.0),
+            ),
+            max_size=60,
+        ),
+        queue_depth=st.integers(1, 6),
+        policy=st.sampled_from(["drop-tail", "drop-head"]),
+        drain=st.booleans(),
+        last_k=st.integers(0, 50),
+    )
+    def test_matches_serial_replay(self, epoch, slots, queue_depth, policy,
+                                   drain, last_k):
+        # Duplicated slots give duplicate arrival times; last_k spans
+        # before, inside and after the arrival span.
+        times = [slot * epoch for slot in slots + slots[: len(slots) // 3]]
+        got, want = _solve_both(times, epoch, last_k, queue_depth, policy,
+                                drain)
+        _assert_same_stream(got, want)
+
+    @pytest.mark.parametrize("policy", ["drop-tail", "drop-head"])
+    @pytest.mark.parametrize("drain", [False, True])
+    def test_large_overloaded_stream(self, policy, drain):
+        rng = random.Random(11)
+        epoch = 7.0
+        now, times = 0.0, []
+        while len(times) < 12_000:
+            now += rng.expovariate(1.5 / epoch)
+            times.append(now)
+        last_k = int(times[-1] / epoch) - 50
+        got, want = _solve_both(times, epoch, last_k, 64, policy, drain)
+        assert want.drops > 1000  # the queue fills over and over
+        _assert_same_stream(got, want)
+
+    @pytest.mark.parametrize("drain", [False, True])
+    def test_empty_stream(self, drain):
+        got, want = _solve_both([], 1.0, 5, 3, "drop-tail", drain)
+        _assert_same_stream(got, want)
+
+
+# ------------------------------------------------- Poisson materialization
+def _replay_arrivals(process, seed_key, limit, horizon):
+    """The event engine's pump over the process's generator."""
+    stream = process.times(random.Random(seed_key))
+    out = []
+    while limit is None or len(out) < limit:
+        when = next(stream)
+        if when > horizon:
+            break
+        out.append(when)
+    return np.asarray(out, dtype=np.float64)
+
+
+class TestPoissonMaterialization:
+    """Blocked Poisson draws equal the generator replay exactly."""
+
+    BLOCK = fastpath._POISSON_BLOCK
+
+    @pytest.mark.parametrize(
+        "limit", [None, 0, 1, BLOCK - 1, BLOCK, BLOCK + 1]
+    )
+    @pytest.mark.parametrize("gaps", [0.3, 40.0, 2.5 * BLOCK])
+    @pytest.mark.parametrize("rate", [1e-4, 0.37, 12.0])
+    def test_matches_replay(self, limit, gaps, rate):
+        # ``gaps`` mean gaps of horizon: shorter than one gap, a few,
+        # and several blocks.
+        horizon = gaps / rate
+        process = PoissonArrivals(rate)
+        for seed_key in ("0/0/AlexNet", "17/3/toy"):
+            got = fastpath.materialize_arrivals(
+                process, seed_key, limit, horizon
+            )
+            want = _replay_arrivals(process, seed_key, limit, horizon)
+            assert got.dtype == want.dtype
+            assert got.tolist() == want.tolist()
+
+    @FAST
+    @given(seed=st.integers(0, 2**32), rate=st.floats(1e-3, 1e3),
+           gaps=st.floats(0.0, 3e4))
+    def test_random_streams(self, seed, rate, gaps):
+        process = PoissonArrivals(rate)
+        got = fastpath.materialize_arrivals(process, str(seed), None,
+                                            gaps / rate)
+        want = _replay_arrivals(process, str(seed), None, gaps / rate)
+        assert got.tolist() == want.tolist()
+
+    def test_subclass_keeps_its_generator(self):
+        class Doubled(PoissonArrivals):
+            def times(self, rng):
+                for when in super().times(rng):
+                    yield 2.0 * when
+
+        process = Doubled(0.5)
+        got = fastpath.materialize_arrivals(process, "k", None, 500.0)
+        want = _replay_arrivals(process, "k", None, 500.0)
+        assert got.size > 0
+        assert got.tolist() == want.tolist()
+        plain = fastpath.materialize_arrivals(
+            PoissonArrivals(0.5), "k", None, 500.0
+        )
+        assert got.tolist() != plain.tolist()
+
+
+# --------------------------------------------- regression: duration guard
+@contextmanager
+def _deadline(seconds):
+    """Fail instead of hanging when the body runs past ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestDurationGuardRegression:
+    """A NaN or infinite horizon is rejected up front on every engine.
+
+    The bare ``<= 0`` check let both through: the event engine then ran
+    forever and the fast path died deep in the boundary grid with an
+    unrelated ``ValueError``/``OverflowError``.
+    """
+
+    BAD = [float("nan"), float("inf"), -float("inf"), 0.0, -1.0]
+
+    @pytest.mark.parametrize("engine", ["fast", "event"])
+    @pytest.mark.parametrize("duration", BAD)
+    def test_fleet_rejects(self, toy_design, engine, duration):
+        tenants = [TenantSpec("toy", make_arrival_process("poisson", 1e-3))]
+        with _deadline(10), pytest.raises(ValueError,
+                                          match="duration_cycles"):
+            simulate_fleet(DeviceSpec(toy_design).replicated(2), tenants,
+                           duration_cycles=duration, engine=engine)
+
+    @pytest.mark.parametrize("engine", ["fast", "event"])
+    @pytest.mark.parametrize("duration", BAD)
+    def test_serve_rejects(self, toy_design, engine, duration):
+        tenants = [TenantSpec("toy", make_arrival_process("poisson", 1e-3))]
+        with _deadline(10), pytest.raises(ValueError,
+                                          match="duration_cycles"):
+            simulate_traffic(toy_design, tenants, duration_cycles=duration,
+                             engine=engine)
 
 
 # --------------------------------------------------------- engine selection
