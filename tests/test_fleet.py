@@ -714,3 +714,140 @@ class TestFleetCLI:
         ]) == 0
         out = capsys.readouterr().out
         assert "cost-to-serve" in out
+
+
+# -------------------------------------------------------- request-path pins
+def _pinned_run(design, overload, scenario):
+    """A traced 4-replica least-outstanding drill; (result, trace) digests.
+
+    Every request-path feature the event engine has is on at once: a
+    probe detector, request timeouts with two failovers, small queues
+    that drop under evacuation, windowed telemetry and a full trace.
+    """
+    import hashlib
+
+    from repro.fleet.detector import DetectorSpec
+    from repro.obs import ObsSpec
+    from repro.obs.trace import TraceRecorder
+    from repro.scenario import RackFailure, ScenarioSpec
+    from repro.serve.overload import OverloadSpec, RetryPolicy
+
+    epoch = design.epoch_cycles
+    epoch_ms = epoch / 1e5  # 100 MHz
+    deadline_ms = 6 * epoch_ms if overload == "fifo" else None
+    tenants = [
+        TenantSpec(
+            design.network.name,
+            make_arrival_process("poisson", 3.6 / epoch),
+            deadline_ms=deadline_ms,
+        )
+    ]
+    spec = None
+    if overload == "edf":
+        spec = OverloadSpec(
+            queue_policy="edf",
+            deadline_ms=6 * epoch_ms,
+            retry=RetryPolicy(
+                max_attempts=3, base_ms=epoch_ms, hedge_ms=3 * epoch_ms
+            ),
+        )
+    drain = scenario == "lost"
+    if scenario == "lost":
+        scenario = ScenarioSpec(
+            name="lost-rack",
+            failure_policy="lost",
+            faults=(RackFailure(fraction=0.5, start=0.4, duration=0.25),),
+        )
+    tracer = TraceRecorder()
+    result = simulate_fleet(
+        DeviceSpec(design).replicated(4),
+        tenants,
+        200 * epoch,
+        balancer="least-outstanding",
+        seed=7,
+        queue_depth=8,
+        drain=drain,
+        scenario=scenario,
+        engine="event",
+        overload=spec,
+        detector=DetectorSpec(
+            mode="probe", request_timeout_ms=4 * epoch_ms, max_failovers=2
+        ),
+        obs=ObsSpec(timeseries=True, trace=tracer),
+    )
+
+    def digest(record):
+        text = json.dumps(record, sort_keys=True)
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+    return digest(fleet_result_to_dict(result)), digest(tracer.to_chrome())
+
+
+_REQUEST_PATH_PINS = {
+    ("none", "rack-loss"): (
+        "0a4fcb6f15a44d93dfbbe6f5f93a7a61fbe05d8973e76ad8ea3cdb7b51370188",
+        "d65e5be144172c38981b80abcb4df6f34cd1229fa976fd6c9e87454ec403f8c6",
+    ),
+    ("none", "chaos"): (
+        "5d4282355471ceeb731f2851cbd2a4d36663f42ce610b9ce1a043927a74f8eab",
+        "6c546d768972c3211ac4b95f6eda8eed6d6bacd87c51ace0abda0a61540e4e12",
+    ),
+    ("none", "flaky-replica"): (
+        "04cc84c28356ee629d1bc64a98d451bb739abb236dd72b0abf5d0c5b41084b99",
+        "dce5c1d677b69c750995fc0f164a238c0879ee1ca2f3b29fcb6b634f0019c603",
+    ),
+    ("none", "lost"): (
+        "ef3dc256c057b36c29c446e1d29f77a536708811dcf3a400f70e084d9f549079",
+        "ad5eddf7ce810f17068aa5c5d6321a0f7f53a365b425bb7e1cd13b7a9468d4fb",
+    ),
+    ("fifo", "rack-loss"): (
+        "df401aa43f4656948cada67eb74f656520b606ffd1731e9a1457eb7aa4edb3ff",
+        "53b8790415d05644f35ad3971d76d0cdb39908a435698b958cb8c662a131c143",
+    ),
+    ("fifo", "chaos"): (
+        "3df115f285e8223435052793719d07960baae859fd8aca377f8c1bc2d0387a02",
+        "3ed962521004a3a9ecf7ffbf16d58896dfdd85e12c7cb36dec31bd2bf2edbf06",
+    ),
+    ("fifo", "flaky-replica"): (
+        "2b69d6e5a6c13fdcce7a45b5cde396a8ce046426805be71e92babb3195e7f826",
+        "cdceb4d066b0dfa5da19167185da8f4da167d61af15d61b8ad18d6c0945205fc",
+    ),
+    ("fifo", "lost"): (
+        "94c35efa090104955327e8a81473255f5fcde2abd49102d7eb93ae2103b3a2e0",
+        "d03de8a5c22b2686f6bd8fcddd6e1d4829809b5a573fa88e97459fadaea3a268",
+    ),
+    ("edf", "rack-loss"): (
+        "c4ae90e82ea454ef7c53b7e1e5fb103a772df23952c4d1f87b3b335256997705",
+        "04cec64d108e09e9bc74fccc4d862cf2018cc75d4cd99b8004bc79fa46e2b049",
+    ),
+    ("edf", "chaos"): (
+        "6b89cec1f66217500b7bac98fea755f5260812c5c5f514349948b479618b7c94",
+        "f5270e2e740af9b282e8aa2f6cd0031c5aa2e0151c69fce67ebe6de3cfc1e2f4",
+    ),
+    ("edf", "flaky-replica"): (
+        "9cdcb5aa60f1464b86dd0e549ff0f09ebd7788d357d885685f428b41198179c3",
+        "482123f7d82f84bf036c78f5885132d104f5d71aa3b0cb5651d3c70d55b29271",
+    ),
+    ("edf", "lost"): (
+        "14a30914ef8be4d782f68186580cab8e4351b7adabe4e830f3c5abb7860d12e1",
+        "bcf4572242c81059ef1d75827165ee77013666d35207b1a769b050282c183b5a",
+    ),
+}
+
+
+class TestRequestPathPins:
+    """Byte-level pins of the event engine's request path.
+
+    One request path serves plain, deadline-FIFO and full overload runs;
+    these digests hold every observable of a drill (result record and
+    trace) fixed across refactors of that path.
+    """
+
+    @pytest.mark.parametrize("overload", ["none", "fifo", "edf"])
+    @pytest.mark.parametrize(
+        "scenario", ["rack-loss", "chaos", "flaky-replica", "lost"]
+    )
+    def test_digests(self, toy_design, overload, scenario):
+        assert _pinned_run(toy_design, overload, scenario) == (
+            _REQUEST_PATH_PINS[(overload, scenario)]
+        )
