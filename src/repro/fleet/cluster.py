@@ -41,7 +41,7 @@ from ..scenario.faults import Degradation, Incident, Outage
 from ..scenario.library import ScenarioSpec, get_scenario
 from ..scenario.resilience import compute_resilience
 from ..serve.metrics import LatencySummary, TenantStats
-from ..serve.simulator import DROP_POLICIES, TenantSpec, TenantState
+from ..serve.simulator import DROP_POLICIES, TenantSpec, TenantState, _Request
 from .balancer import Balancer, make_balancer
 from .detector import DetectorSpec, FailureDetector
 from .device import DeviceSpec
@@ -91,21 +91,14 @@ class Replica:
             if tenant.name not in plans:
                 continue
             depth, clp_cycles = plans[tenant.name]
-            if overload is not None:
-                from ..serve.overload import OverloadTenantState
-
-                self.states[tenant.name] = OverloadTenantState(
-                    tenant, depth, clp_cycles, queue_depth, policy,
-                    queue_policy=overload.queue_policy,
-                    epoch=self.epoch,
-                    deadline_cycles=(
-                        deadline_cycles or {}
-                    ).get(tenant.name),
-                )
-            else:
-                self.states[tenant.name] = TenantState(
-                    tenant, depth, clp_cycles, queue_depth, policy
-                )
+            self.states[tenant.name] = TenantState(
+                tenant, depth, clp_cycles, queue_depth, policy,
+                queue_policy=(
+                    overload.queue_policy if overload is not None else "fifo"
+                ),
+                epoch=self.epoch,
+                deadline_cycles=(deadline_cycles or {}).get(tenant.name),
+            )
 
     @property
     def outstanding(self) -> int:
@@ -171,10 +164,7 @@ def _aggregate_tenant(
     states: Sequence[TenantState],
     elapsed: float,
     unroutable: int = 0,
-    gate_arrivals: int = 0,
-    gate_rejected: int = 0,
-    gate_retries: int = 0,
-    gate_hedges: int = 0,
+    controller: Optional["OverloadController"] = None,
     timed_out: int = 0,
     failed_over: int = 0,
 ) -> TenantStats:
@@ -184,16 +174,23 @@ def _aggregate_tenant(
     on during an outage — they never reached a replica's state, so the
     fleet books them here, once as an arrival and once as lost, keeping
     the conservation invariant (arrivals = completions + drops + lost +
-    rejected + expired + timed_out + in-flight) intact.  The ``gate_*``
-    counters are
-    the overload controller's front-door ledger — token-bucket and
-    brownout rejections equally never landed on a replica, so they are
-    folded in here the same way (once as an arrival, once as rejected).
+    rejected + expired + timed_out + in-flight) intact.  The
+    ``controller``'s ``gate_*`` counters are the overload front-door
+    ledger — token-bucket and brownout rejections equally never landed
+    on a replica, so they are folded in here the same way (once as an
+    arrival, once as rejected).
     ``timed_out``/``failed_over`` are the cluster's request-timeout
     ledger (requests reaped from queues after the detector's deadline,
     and logical requests that failed over at least once) — fleet-level
     concepts, tracked outside the per-replica tenant states.
     """
+    name = spec.name
+    gate_arrivals = gate_rejected = gate_retries = gate_hedges = 0
+    if controller is not None:
+        gate_arrivals = controller.gate_arrivals[name]
+        gate_rejected = controller.gate_rejected[name]
+        gate_retries = controller.gate_retries[name]
+        gate_hedges = controller.gate_hedges[name]
     latencies: List[float] = []
     for state in states:
         latencies.extend(state.latencies)
@@ -204,7 +201,7 @@ def _aggregate_tenant(
     if completions >= 2 and firsts and max(lasts) > min(firsts):
         steady = (completions - 1) / (max(lasts) - min(firsts))
     return TenantStats(
-        name=spec.name,
+        name=name,
         offered_rate_per_cycle=spec.process.mean_rate,
         arrivals=(
             sum(state.arrivals for state in states)
@@ -223,20 +220,11 @@ def _aggregate_tenant(
         peak_queue_depth=max(state.peak_queue for state in states),
         steady_rate_per_cycle=steady,
         lost=sum(state.lost for state in states) + unroutable,
-        rejected=(
-            sum(getattr(state, "rejected", 0) for state in states)
-            + gate_rejected
-        ),
-        expired=sum(getattr(state, "expired", 0) for state in states),
-        retries=(
-            sum(getattr(state, "retries", 0) for state in states)
-            + gate_retries
-        ),
-        hedges=(
-            sum(getattr(state, "hedges", 0) for state in states)
-            + gate_hedges
-        ),
-        late=sum(getattr(state, "late", 0) for state in states),
+        rejected=sum(state.rejected for state in states) + gate_rejected,
+        expired=sum(state.expired for state in states),
+        retries=sum(state.retries for state in states) + gate_retries,
+        hedges=sum(state.hedges for state in states) + gate_hedges,
+        late=sum(state.late for state in states),
         priority=spec.priority,
         timed_out=timed_out,
         failed_over=failed_over,
@@ -567,11 +555,10 @@ class ClusterSimulator:
         filter_routing = (
             have_faults or have_gray or fdet is not None
         )
-        #: Per-request failover ledger, keyed by ``(tenant, arrival)``
-        #: for plain runs and by the live request object under overload:
+        #: Per-request failover ledger, keyed by the live request object:
         #: (attempts so far, start of the current attempt).  Entries
         #: exist only for requests that have failed over at least once.
-        failover_state: Dict[object, Tuple[int, float]] = {}
+        failover_state: Dict[_Request, Tuple[int, float]] = {}
         #: Fleet-level timeout/failover ledgers (per tenant name).
         timed_out: Dict[str, int] = {spec.name: 0 for spec in self.tenants}
         failed_over: Dict[str, int] = {spec.name: 0 for spec in self.tenants}
@@ -583,34 +570,46 @@ class ClusterSimulator:
             spec.name: index for index, spec in enumerate(self.tenants)
         }
 
-        controller: Optional[OverloadController] = None
-        if ospec is not None:
-            # The controller is the fleet's front door: every attempt
-            # (fresh, retry, hedge) passes its gates, then routes
-            # through the balancer exactly as an ungated arrival would.
-            def route_request(
-                name: str,
-            ) -> Optional[Tuple[TenantState, Optional[int]]]:
-                targets = eligible[name]
-                if filter_routing:
-                    targets = tuple(i for i in targets if routable(i))
-                    if not targets:
-                        unroutable[name] += 1
-                        if tracer is not None:
-                            tracer.request_unroutable(name, sim.now)
-                        return None
-                choice = balancer.route(name, targets, sim.now)
-                return (replicas[choice].states[name], choice)
+        def route_request(
+            name: str,
+        ) -> Optional[Tuple[TenantState, Optional[int]]]:
+            targets = eligible[name]
+            if filter_routing:
+                targets = tuple(i for i in targets if routable(i))
+                if not targets:
+                    # Nobody can take it: the fleet still saw the
+                    # request — booked as arrived and lost at
+                    # aggregation time.
+                    unroutable[name] += 1
+                    if tracer is not None:
+                        tracer.request_unroutable(name, sim.now)
+                    return None
+            choice = balancer.route(name, targets, sim.now)
+            return (replicas[choice].states[name], choice)
 
-            def deliver(index: int, req) -> None:
-                controller.arrive(
-                    index,
-                    req,
-                    lambda index=index: route_request(
-                        self.tenants[index].name
-                    ),
+        def deliver(index: int, req: _Request) -> None:
+            """One attempt (fresh, retry or hedge) enters the fleet."""
+            name = self.tenants[index].name
+            if controller is not None:
+                # The controller is the fleet's front door: every
+                # attempt passes its gates, then routes through the
+                # balancer exactly as an ungated arrival would.
+                controller.arrive(index, req, lambda: route_request(name))
+                return
+            landing = route_request(name)
+            if landing is None:
+                return
+            state, choice = landing
+            state.book_arrival(req)
+            victim = state.push(req, sim.now)
+            if tracer is not None:
+                tracer.request_arrived(
+                    name, choice, sim.now,
+                    dropped=victim is not None, policy=state.policy,
                 )
 
+        controller: Optional[OverloadController] = None
+        if ospec is not None:
             controller = OverloadController(
                 ospec,
                 self.tenants,
@@ -645,40 +644,12 @@ class ClusterSimulator:
                     return
 
                 def fire() -> None:
-                    if controller is not None:
-                        controller.arrive(
-                            index,
-                            controller.make_request(sim.now),
-                            lambda: route_request(spec.name),
-                        )
-                        pump(count + 1)
-                        return
-                    targets = eligible[spec.name]
-                    if filter_routing:
-                        targets = tuple(i for i in targets if routable(i))
-                        if not targets:
-                            # Nobody can take it: the fleet still saw the
-                            # request — booked as arrived and lost at
-                            # aggregation time.
-                            unroutable[spec.name] += 1
-                            if tracer is not None:
-                                tracer.request_unroutable(spec.name, sim.now)
-                            pump(count + 1)
-                            return
-                    choice = balancer.route(spec.name, targets, sim.now)
-                    landing = replicas[choice].states[spec.name]
-                    if tracer is None:
-                        landing.on_arrival(sim.now)
-                    else:
-                        before = landing.drops
-                        landing.on_arrival(sim.now)
-                        tracer.request_arrived(
-                            spec.name,
-                            choice,
-                            sim.now,
-                            dropped=landing.drops > before,
-                            policy=self.policy,
-                        )
+                    deliver(
+                        index,
+                        _Request(sim.now)
+                        if controller is None
+                        else controller.make_request(sim.now),
+                    )
                     pump(count + 1)
 
                 sim.schedule_at(when, fire)
@@ -719,74 +690,41 @@ class ClusterSimulator:
                     continue
                 state._touch(sim.now)
                 state.queue.clear()
-                t_idx = tenant_index[state.spec.name]
-                for item in evacuated:
-                    # ``item`` is an arrival time (plain runs) or a
-                    # live request object (overload runs).
-                    if failure_policy == "lost":
-                        state.lost += 1
-                        if tracer is not None:
-                            tracer.request_evacuated(
-                                state.spec.name, replica.index, sim.now,
-                                outcome="lost",
-                            )
-                        if controller is not None:
-                            item.done = True
-                            controller.client_retry(
-                                t_idx, item, reason="lost"
-                            )
-                        continue
-                    rescue = tuple(
-                        i
-                        for i in eligible[state.spec.name]
-                        if routable(i)
+                name = state.spec.name
+                for req in evacuated:
+                    rescue = (
+                        ()
+                        if failure_policy == "lost"
+                        else tuple(i for i in eligible[name] if routable(i))
                     )
                     if not rescue:
                         state.lost += 1
                         if tracer is not None:
                             tracer.request_evacuated(
-                                state.spec.name, replica.index, sim.now,
+                                name, replica.index, sim.now,
                                 outcome="lost",
                             )
                         if controller is not None:
-                            item.done = True
+                            req.done = True
                             controller.client_retry(
-                                t_idx, item, reason="lost"
+                                tenant_index[name], req, reason="lost"
                             )
                         continue
-                    choice = balancer.route(
-                        state.spec.name, rescue, sim.now
+                    choice = balancer.route(name, rescue, sim.now)
+                    victim = replicas[choice].states[name].requeue(
+                        req, sim.now
                     )
-                    target = replicas[choice].states[state.spec.name]
-                    if controller is not None:
-                        victim = target.requeue(item, sim.now)
-                        if tracer is not None:
-                            tracer.request_evacuated(
-                                state.spec.name, replica.index, sim.now,
-                                outcome=(
-                                    "dropped"
-                                    if victim is not None
-                                    else "requeued"
-                                ),
-                                target=choice,
-                            )
-                        if victim is not None:
-                            controller.client_retry(
-                                t_idx, victim, reason="dropped"
-                            )
-                    elif tracer is None:
-                        target.requeue(item, sim.now)
-                    else:
-                        before = target.drops
-                        target.requeue(item, sim.now)
+                    if tracer is not None:
                         tracer.request_evacuated(
-                            state.spec.name, replica.index, sim.now,
+                            name, replica.index, sim.now,
                             outcome=(
-                                "dropped"
-                                if target.drops > before
-                                else "requeued"
+                                "dropped" if victim is not None else "requeued"
                             ),
                             target=choice,
+                        )
+                    if victim is not None and controller is not None:
+                        controller.client_retry(
+                            tenant_index[name], victim, reason="dropped"
                         )
 
         def recover(replica: Replica) -> None:
@@ -917,11 +855,13 @@ class ClusterSimulator:
         if rt_cycles is not None:
             sweep_step = rt_cycles / 2.0
 
-            def reap(replica: Replica, state: TenantState, item) -> None:
+            def reap(
+                replica: Replica, state: TenantState, req: _Request
+            ) -> None:
                 name = state.spec.name
                 if fdet is not None:
                     fdet.record_error(replica.index)
-                if failover(replica, state, item):
+                if failover(replica, state, req):
                     return
                 timed_out[name] += 1
                 if recorder is not None:
@@ -929,9 +869,9 @@ class ClusterSimulator:
                 if tracer is not None:
                     tracer.request_timeout(name, replica.index, sim.now)
                 if controller is not None:
-                    item.done = True
+                    req.done = True
                     controller.client_retry(
-                        tenant_index[name], item, reason="timeout"
+                        tenant_index[name], req, reason="timeout"
                     )
 
             def sweep(k: int = 1) -> None:
@@ -939,34 +879,20 @@ class ClusterSimulator:
                     for state in replica.states.values():
                         if not state.queue:
                             continue
-                        name = state.spec.name
-                        if controller is None:
-                            stale = [
-                                item
-                                for item in state.queue
-                                if sim.now
-                                - failover_state.get(
-                                    (name, item), (0, item)
-                                )[1]
-                                >= rt_cycles
-                            ]
-                        else:
-                            stale = [
-                                item
-                                for item in state.queue
-                                if sim.now
-                                - failover_state.get(
-                                    item, (0, item.arrival)
-                                )[1]
-                                >= rt_cycles
-                            ]
+                        stale = [
+                            req
+                            for req in state.queue
+                            if sim.now
+                            - failover_state.get(req, (0, req.arrival))[1]
+                            >= rt_cycles
+                        ]
                         if not stale:
                             continue
                         state._touch(sim.now)
-                        for item in stale:
-                            state.queue.remove(item)
-                        for item in stale:
-                            reap(replica, state, item)
+                        for req in stale:
+                            state.queue.remove(req)
+                        for req in stale:
+                            reap(replica, state, req)
                 upcoming = (k + 1) * sweep_step
                 if upcoming <= horizon or (
                     drain
@@ -986,7 +912,7 @@ class ClusterSimulator:
         def failover(
             replica: Replica,
             state: TenantState,
-            item,
+            req: _Request,
             phase: str = "queue",
         ) -> bool:
             """Re-dispatch a failed/stale request onto another replica.
@@ -997,31 +923,26 @@ class ClusterSimulator:
             caller must book the terminal outcome.
             """
             name = state.spec.name
-            key = (name, item) if controller is None else item
-            used, _ = failover_state.get(key, (0, 0.0))
+            used, _ = failover_state.get(req, (0, 0.0))
             candidates = tuple(
                 i
                 for i in eligible[name]
                 if i != replica.index and routable(i)
             )
             if used >= max_failovers or not candidates:
-                failover_state.pop(key, None)
+                failover_state.pop(req, None)
                 return False
             # The attempt clock restarts: timeouts measure the current
             # attempt, not the request's total age (latency still does).
-            failover_state[key] = (used + 1, sim.now)
+            failover_state[req] = (used + 1, sim.now)
             if used == 0:
                 failed_over[name] += 1
             choice = balancer.route(name, candidates, sim.now)
-            target = replicas[choice].states[name]
-            if controller is not None:
-                victim = target.requeue(item, sim.now)
-                if victim is not None:
-                    controller.client_retry(
-                        tenant_index[name], victim, reason="dropped"
-                    )
-            else:
-                target.requeue(item, sim.now)
+            victim = replicas[choice].states[name].requeue(req, sim.now)
+            if victim is not None and controller is not None:
+                controller.client_retry(
+                    tenant_index[name], victim, reason="dropped"
+                )
             if recorder is not None:
                 recorder.count(f"failovers/{name}", sim.now)
             if tracer is not None:
@@ -1032,7 +953,7 @@ class ClusterSimulator:
             return True
 
         def flaky_error(
-            replica: Replica, state: TenantState, item, t_idx: Optional[int]
+            replica: Replica, state: TenantState, req: _Request
         ) -> None:
             """A dispatched request came back as an error (flaky board)."""
             name = state.spec.name
@@ -1040,60 +961,42 @@ class ClusterSimulator:
                 fdet.record_error(replica.index)
             if recorder is not None:
                 recorder.count(f"errors/{name}", sim.now)
-            if failover(replica, state, item, phase="pipeline"):
+            if failover(replica, state, req, phase="pipeline"):
                 return
             # Terminal: the error response is the final word.
             state.lost += 1
             if tracer is not None:
                 tracer.request_errored(name, replica.index, sim.now)
             if controller is not None:
-                item.done = True
-                controller.client_retry(t_idx, item, reason="error")
+                req.done = True
+                controller.client_retry(
+                    tenant_index[name], req, reason="error"
+                )
 
         def finish(
             replica: Replica,
             state: TenantState,
-            arrival: float,
+            req: _Request,
             gen: int,
-            errored: bool = False,
-        ) -> None:
-            if replica.generation != gen:
-                return  # the board died after admission; work already lost
-            if errored:
-                state.pipeline -= 1
-                flaky_error(replica, state, arrival, None)
-                return
-            state.on_completion(arrival, sim.now)
-            if fdet is not None:
-                fdet.record_success(replica.index, sim.now - arrival)
-            if failover_state:
-                failover_state.pop((state.spec.name, arrival), None)
-            if tracer is not None:
-                tracer.request_completed(
-                    state.spec.name, replica.index, sim.now, arrival
-                )
-            if record:
-                samples.append((sim.now, sim.now - arrival))
-
-        def finish_overload(
-            replica: Replica,
-            state: TenantState,
-            req,
-            gen: int,
-            t_idx: int,
             errored: bool = False,
         ) -> None:
             if replica.generation != gen:
                 # The board died after admission: the loss was booked at
                 # fail time; the client notices around when the reply
                 # was due and may retry.
-                controller.client_retry(t_idx, req, reason="lost")
+                if controller is not None:
+                    controller.client_retry(
+                        tenant_index[state.spec.name], req, reason="lost"
+                    )
                 return
             if errored:
                 state.pipeline -= 1
-                flaky_error(replica, state, req, t_idx)
+                flaky_error(replica, state, req)
                 return
-            controller.complete(t_idx, state, req)
+            if controller is None:
+                state.on_completion(req.arrival, sim.now)
+            else:
+                controller.complete(tenant_index[state.spec.name], state, req)
             if fdet is not None:
                 fdet.record_success(replica.index, sim.now - req.arrival)
             if failover_state:
@@ -1127,6 +1030,16 @@ class ClusterSimulator:
                             replica.slow_next += sf
                 if dispatching:
                     for state in replica.states.values():
+                        if controller is None:
+                            req = state.pop_next(sim.now)
+                        else:
+                            req = controller.dispatch(
+                                tenant_index[state.spec.name],
+                                state,
+                                replica.index,
+                            )
+                        if req is None:
+                            continue
                         if have_gray:
                             service = (
                                 state.depth_epochs
@@ -1138,50 +1051,18 @@ class ClusterSimulator:
                         else:
                             service = state.depth_epochs * epoch
                             flaky = 0.0
-                        if controller is not None:
-                            t_idx = tenant_index[state.spec.name]
-                            req = controller.dispatch(
-                                t_idx, state, replica.index
-                            )
-                            if req is None:
-                                continue
-                            errored = (
-                                flaky > 0.0
-                                and flaky_rng.random() < flaky
-                            )
-                            if tracer is not None:
-                                tracer.request_dispatched(
-                                    state.spec.name, replica.index,
-                                    sim.now, req.arrival,
-                                )
-                            for clp_index, cycles in enumerate(
-                                state.clp_cycles
-                            ):
-                                replica.clp_busy[clp_index] += cycles
-                            sim.schedule(
-                                service,
-                                lambda state=state, req=req, t_idx=t_idx, gen=replica.generation, errored=errored: finish_overload(
-                                    replica, state, req, gen, t_idx, errored
-                                ),
-                            )
-                            continue
-                        arrival = state.admit(sim.now)
-                        if arrival is None:
-                            continue
-                        errored = (
-                            flaky > 0.0 and flaky_rng.random() < flaky
-                        )
+                        errored = flaky > 0.0 and flaky_rng.random() < flaky
                         if tracer is not None:
                             tracer.request_dispatched(
                                 state.spec.name, replica.index, sim.now,
-                                arrival,
+                                req.arrival,
                             )
                         for clp_index, cycles in enumerate(state.clp_cycles):
                             replica.clp_busy[clp_index] += cycles
                         sim.schedule(
                             service,
-                            lambda state=state, arrival=arrival, gen=replica.generation, errored=errored: finish(
-                                replica, state, arrival, gen, errored
+                            lambda state=state, req=req, gen=replica.generation, errored=errored: finish(
+                                replica, state, req, gen, errored
                             ),
                         )
                 # Exact grid ``count * epoch``: chaining ``now + epoch``
@@ -1334,26 +1215,7 @@ class ClusterSimulator:
                 ],
                 elapsed,
                 unroutable[spec.name],
-                gate_arrivals=(
-                    controller.gate_arrivals[spec.name]
-                    if controller is not None
-                    else 0
-                ),
-                gate_rejected=(
-                    controller.gate_rejected[spec.name]
-                    if controller is not None
-                    else 0
-                ),
-                gate_retries=(
-                    controller.gate_retries[spec.name]
-                    if controller is not None
-                    else 0
-                ),
-                gate_hedges=(
-                    controller.gate_hedges[spec.name]
-                    if controller is not None
-                    else 0
-                ),
+                controller,
                 timed_out=(
                     timed_out[spec.name] if timed_out is not None else 0
                 ),

@@ -62,6 +62,7 @@ from typing import (
 )
 
 from ..core.serialize import from_record, to_record
+from .simulator import TenantState, _Request
 
 if TYPE_CHECKING:
     from ..obs.telemetry import MetricsRecorder
@@ -78,7 +79,6 @@ __all__ = [
     "OverloadSpec",
     "PriorityClassStats",
     "OverloadReport",
-    "OverloadTenantState",
     "OverloadController",
     "overload_spec_to_dict",
     "overload_spec_from_dict",
@@ -228,199 +228,6 @@ class OverloadSpec:
             or self.retry is not None
             or self.brownout is not None
             or self.deadline_ms is not None
-        )
-
-
-# ----------------------------------------------------------------- requests
-class _Request:
-    """One attempt of one logical request, as it moves through a queue.
-
-    Mutable on purpose: ``done`` flips when the attempt leaves the queue
-    (dispatched, dropped, evicted, expired, or evacuated-lost), which is
-    what cancels a pending hedge.  ``backoff_cycles`` carries the last
-    delay for decorrelated jitter.
-    """
-
-    __slots__ = (
-        "arrival", "attempt", "hedge", "hedged", "done", "backoff_cycles",
-        "seq",
-    )
-
-    def __init__(
-        self,
-        arrival: float,
-        attempt: int = 1,
-        *,
-        hedge: bool = False,
-        backoff_cycles: float = 0.0,
-    ) -> None:
-        self.arrival = arrival
-        self.attempt = attempt
-        self.hedge = hedge
-        self.hedged = False
-        self.done = False
-        self.backoff_cycles = backoff_cycles
-        self.seq = 0  # stamped by the controller; global insertion order
-
-
-class OverloadTenantState:
-    """Tenant state with a pluggable queue discipline and new counters.
-
-    A drop-in replacement for :class:`repro.serve.simulator.TenantState`
-    used when the overload layer is active: the queue holds
-    :class:`_Request` entries (in discipline order) instead of bare
-    arrival times, and ``rejected``/``expired``/``retries``/``hedges``/
-    ``late`` extend the accounting.  The occupancy integral, peak
-    tracking, and stats reduction are inherited.
-    """
-
-    def __init__(
-        self,
-        spec: "TenantSpec",
-        depth_epochs: int,
-        clp_cycles: Tuple[int, ...],
-        queue_depth: int,
-        policy: str,
-        *,
-        queue_policy: str = "fifo",
-        epoch: float = 1.0,
-        deadline_cycles: Optional[float] = None,
-    ) -> None:
-        # Reuse the base-state constructor for the shared bookkeeping.
-        from .simulator import TenantState
-
-        TenantState.__init__(  # type: ignore[arg-type]
-            self, spec, depth_epochs, clp_cycles, queue_depth, policy
-        )
-        self.queue: List[_Request] = []  # discipline order, head at [0]
-        self.queue_policy = queue_policy
-        self.epoch = epoch
-        self.deadline_cycles = deadline_cycles
-        self.rejected = 0
-        self.expired = 0
-        self.retries = 0
-        self.hedges = 0
-        self.late = 0
-
-    # Shared helpers lifted from TenantState (single inheritance would
-    # drag the Deque queue type in; composition keeps the float-queue
-    # fast path untouched while this class redefines queue handling).
-    from .simulator import TenantState as _Base
-
-    _touch = _Base._touch
-    mean_queue_depth = _Base.mean_queue_depth
-    on_completion = _Base.on_completion
-    del _Base
-
-    # ------------------------------------------------------------- discipline
-    def _key(self, req: _Request):
-        if self.queue_policy == "edf":
-            deadline = (
-                req.arrival + self.deadline_cycles
-                if self.deadline_cycles is not None
-                else float("inf")
-            )
-            return (deadline, req.seq)
-        if self.queue_policy == "priority":
-            # Fresh work ahead of retries and hedges: retry demotion
-            # keeps a storm from starving first-attempt traffic.
-            return (0 if (req.attempt == 1 and not req.hedge) else 1, req.seq)
-        return (req.seq,)
-
-    def _insert(self, req: _Request) -> None:
-        key = self._key(req)
-        position = len(self.queue)
-        # Seq keys are monotone, so the common case appends; a linear
-        # scan from the tail is O(queue_depth) worst case (<= 64-ish).
-        while position > 0 and self._key(self.queue[position - 1]) > key:
-            position -= 1
-        self.queue.insert(position, req)
-
-    # ----------------------------------------------------------------- events
-    def book_arrival(self, req: _Request) -> None:
-        """Count one attempt arriving (before any admission decision)."""
-        self.arrivals += 1
-        if req.hedge:
-            self.hedges += 1
-        elif req.attempt > 1:
-            self.retries += 1
-
-    def push(self, req: _Request, now: float) -> Optional[_Request]:
-        """Queue an admitted request; returns the drop-policy victim.
-
-        ``None`` means the request was queued with room to spare.  Under
-        drop-tail a full queue returns ``req`` itself (never queued);
-        under drop-head it returns the evicted head — the entry the
-        discipline would have served next — and queues ``req``.
-        """
-        self._touch(now)
-        victim: Optional[_Request] = None
-        if len(self.queue) >= self.queue_depth:
-            self.drops += 1
-            if self.policy == "drop-tail":
-                req.done = True
-                return req
-            victim = self.queue.pop(0)
-            victim.done = True
-        self._insert(req)
-        self.peak_queue = max(self.peak_queue, len(self.queue))
-        return victim
-
-    def requeue(self, req: _Request, now: float) -> Optional[_Request]:
-        """Re-admit an evacuated request (not a new arrival).
-
-        Mirrors :meth:`TenantState.requeue` for the fleet's failure
-        evacuation: the request keeps its original arrival time; a full
-        queue sheds it as a drop here (returned so the host can hand it
-        to the retry layer).
-        """
-        self._touch(now)
-        if len(self.queue) >= self.queue_depth:
-            self.drops += 1
-            req.done = True
-            return req
-        req.done = False
-        self._insert(req)
-        self.peak_queue = max(self.peak_queue, len(self.queue))
-        return None
-
-    def pop_next(self, now: float) -> Optional[Tuple[str, _Request]]:
-        """Take the discipline head: ``("ok", req)`` or ``("expired", req)``.
-
-        Expiry shedding belongs to the deadline-aware disciplines: under
-        ``fifo`` a stale request is still served (and completes late),
-        which is exactly the epoch-burning naive behaviour the
-        retry-storm drill demonstrates.
-        """
-        if not self.queue:
-            return None
-        self._touch(now)
-        req = self.queue.pop(0)
-        req.done = True
-        if (
-            self.queue_policy != "fifo"
-            and self.deadline_cycles is not None
-            and now > req.arrival + self.deadline_cycles
-        ):
-            self.expired += 1
-            return ("expired", req)
-        self.pipeline += 1
-        return ("ok", req)
-
-    # ----------------------------------------------------------------- final
-    def stats(self, elapsed: float):
-        from .simulator import TenantState
-
-        base = TenantState.stats(self, elapsed)  # type: ignore[arg-type]
-        from dataclasses import replace
-
-        return replace(
-            base,
-            rejected=self.rejected,
-            expired=self.expired,
-            retries=self.retries,
-            hedges=self.hedges,
-            late=self.late,
         )
 
 
@@ -832,7 +639,7 @@ class OverloadController:
 
     # -------------------------------------------------------------- dispatch
     def dispatch(
-        self, index: int, state: OverloadTenantState, replica: Optional[int]
+        self, index: int, state: TenantState, replica: Optional[int]
     ) -> Optional[_Request]:
         """Epoch-boundary admission under the queue discipline.
 
@@ -840,26 +647,24 @@ class OverloadController:
         head is admitted into the pipeline or the queue runs dry —
         expired work never burns the epoch's admission slot.
         """
+        if not state.queue:
+            return None
         now = self._now()
-        spec = self.tenants[index]
-        totals = self._class_totals[self.priorities[index]]
-        while True:
-            popped = state.pop_next(now)
-            if popped is None:
-                return None
-            outcome, req = popped
-            if outcome == "ok":
-                return req
-            totals["expired"] += 1
+        name = self.tenants[index].name
+
+        def expire(req: _Request) -> None:
+            self._class_totals[self.priorities[index]]["expired"] += 1
             if self.tracer is not None:
-                self.tracer.request_expired(spec.name, replica, now)
+                self.tracer.request_expired(name, replica, now)
             if self.recorder is not None:
-                self.recorder.count(f"expired/{spec.name}", now)
+                self.recorder.count(f"expired/{name}", now)
             self._schedule_retry(index, req, now, reason="expired")
+
+        return state.pop_next(now, expire)
 
     # -------------------------------------------------------------- complete
     def complete(
-        self, index: int, state: OverloadTenantState, req: _Request
+        self, index: int, state: TenantState, req: _Request
     ) -> None:
         now = self._now()
         state.on_completion(req.arrival, now)

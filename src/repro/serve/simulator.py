@@ -28,10 +28,14 @@ result to a :class:`~repro.serve.metrics.ServeResult`.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import (
     TYPE_CHECKING,
+    Any,
+    Callable,
     Deque,
     Dict,
     List,
@@ -141,8 +145,49 @@ def pipeline_latency_cycles(
     return max(depth for depth, _ in plans.values()) * epoch
 
 
+class _Request:
+    """One attempt of one logical request, as it moves through a queue.
+
+    Mutable on purpose: ``done`` flips when the attempt leaves the queue
+    (dispatched, dropped, evicted, expired, or evacuated-lost), which is
+    what cancels a pending hedge.  ``backoff_cycles`` carries the last
+    delay for decorrelated jitter.  ``seq`` is the overload controller's
+    global insertion stamp; requests of a run without one keep
+    ``seq == 0``, so every FIFO insert appends at the tail.
+    """
+
+    __slots__ = (
+        "arrival", "attempt", "hedge", "hedged", "done", "backoff_cycles",
+        "seq",
+    )
+
+    def __init__(
+        self,
+        arrival: float,
+        attempt: int = 1,
+        *,
+        hedge: bool = False,
+        backoff_cycles: float = 0.0,
+    ) -> None:
+        self.arrival = arrival
+        self.attempt = attempt
+        self.hedge = hedge
+        self.hedged = False
+        self.done = False
+        self.backoff_cycles = backoff_cycles
+        self.seq = 0
+
+
 class TenantState:
-    """Mutable bookkeeping for one tenant during a run."""
+    """Mutable bookkeeping for one tenant on one device during a run.
+
+    The queue holds :class:`_Request` entries in discipline order, head
+    first: ``fifo`` orders by insertion stamp, ``edf`` by absolute
+    deadline, ``priority`` puts fresh work ahead of retries and hedges
+    (see :mod:`repro.serve.overload`).  ``rejected``/``expired``/
+    ``retries``/``hedges``/``late`` stay 0 unless an overload controller
+    drives the state.
+    """
 
     def __init__(
         self,
@@ -151,24 +196,52 @@ class TenantState:
         clp_cycles: Tuple[int, ...],
         queue_depth: int,
         policy: str,
+        *,
+        queue_policy: str = "fifo",
+        epoch: float = 1.0,
+        deadline_cycles: Optional[float] = None,
     ):
         self.spec = spec
         self.depth_epochs = depth_epochs
         self.clp_cycles = clp_cycles
         self.queue_depth = queue_depth
         self.policy = policy
-        self.queue: Deque[float] = deque()
+        self.queue_policy = queue_policy
+        self.epoch = epoch
+        self.deadline_cycles = deadline_cycles
+        self.queue: Deque[_Request] = deque()
         self.arrivals = 0
         self.drops = 0
         self.lost = 0
         self.completions = 0
         self.pipeline = 0
+        self.rejected = 0
+        self.expired = 0
+        self.retries = 0
+        self.hedges = 0
+        self.late = 0
         self.latencies: List[float] = []
         self.first_completion: Optional[float] = None
         self.last_completion: Optional[float] = None
         self.peak_queue = 0
         self._occupancy_area = 0.0
         self._occupancy_mark = 0.0
+        # Expiry shedding belongs to the deadline-aware disciplines:
+        # under ``fifo`` a stale request is still served (and completes
+        # late), the epoch-burning naive behaviour.
+        self._expires = queue_policy != "fifo" and deadline_cycles is not None
+        self._key: Callable[[_Request], Any]
+        if queue_policy == "edf":
+            budget = math.inf if deadline_cycles is None else deadline_cycles
+            self._key = lambda req: (req.arrival + budget, req.seq)
+        elif queue_policy == "priority":
+            # Fresh work ahead of retries and hedges: retry demotion
+            # keeps a storm from starving first-attempt traffic.
+            self._key = lambda req: (
+                0 if (req.attempt == 1 and not req.hedge) else 1, req.seq
+            )
+        else:
+            self._key = attrgetter("seq")
 
     # ------------------------------------------------------------- occupancy
     def _touch(self, now: float) -> None:
@@ -185,41 +258,90 @@ class TenantState:
         return area / elapsed
 
     # ---------------------------------------------------------------- events
-    def on_arrival(self, now: float) -> None:
-        self.arrivals += 1
-        self._touch(now)
-        if len(self.queue) >= self.queue_depth:
-            if self.policy == "drop-tail":
-                self.drops += 1
-                return
-            # drop-head: evict the stalest waiter to admit fresh work.
-            self.queue.popleft()
-            self.drops += 1
-        self.queue.append(now)
-        self.peak_queue = max(self.peak_queue, len(self.queue))
+    def _insert(self, req: _Request) -> None:
+        queue, key = self.queue, self._key
+        rank = key(req)
+        position = len(queue)
+        # Keys mostly grow with time, so the common case appends; the
+        # scan from the tail is O(queue_depth) at worst.
+        while position > 0 and key(queue[position - 1]) > rank:
+            position -= 1
+        queue.insert(position, req)
+        if len(queue) > self.peak_queue:
+            self.peak_queue = len(queue)
 
-    def requeue(self, arrival: float, now: float) -> None:
-        """Re-admit a request evacuated from a failed replica's queue.
+    def book_arrival(self, req: _Request) -> None:
+        """Count one attempt arriving (before any admission decision)."""
+        self.arrivals += 1
+        if req.hedge:
+            self.hedges += 1
+        elif req.attempt > 1:
+            self.retries += 1
+
+    def push(self, req: _Request, now: float) -> Optional[_Request]:
+        """Queue an admitted request; returns the drop-policy victim.
+
+        ``None`` means the request was queued with room to spare.  Under
+        drop-tail a full queue returns ``req`` itself (never queued);
+        under drop-head it returns the evicted head — the entry the
+        discipline would have served next — and queues ``req``.
+        """
+        self._touch(now)
+        victim: Optional[_Request] = None
+        if len(self.queue) >= self.queue_depth:
+            self.drops += 1
+            if self.policy == "drop-tail":
+                req.done = True
+                return req
+            victim = self.queue.popleft()
+            victim.done = True
+        self._insert(req)
+        return victim
+
+    def requeue(self, req: _Request, now: float) -> Optional[_Request]:
+        """Re-admit a request evacuated from another queue.
 
         Not a new arrival — the request was already counted where it
-        first landed; it joins the tail here (a client retry would).  A
-        full queue sheds it as an ordinary drop on this replica.
+        first landed, and keeps its arrival time and insertion stamp.
+        Unstamped requests rejoin at the tail (a client retry would); a
+        stamped one re-enters in its original order.  A full queue sheds
+        it as an ordinary drop here, and returns it so the host can hand
+        it to the retry layer.
         """
         self._touch(now)
         if len(self.queue) >= self.queue_depth:
             self.drops += 1
-            return
-        self.queue.append(arrival)
-        self.peak_queue = max(self.peak_queue, len(self.queue))
+            req.done = True
+            return req
+        req.done = False
+        self._insert(req)
+        return None
 
-    def admit(self, now: float) -> Optional[float]:
-        """Pop the head of the queue into the pipeline; returns arrival time."""
-        if not self.queue:
-            return None
-        self._touch(now)
-        arrival = self.queue.popleft()
-        self.pipeline += 1
-        return arrival
+    def pop_next(
+        self,
+        now: float,
+        expire: Optional[Callable[[_Request], None]] = None,
+    ) -> Optional[_Request]:
+        """Admit the discipline head into the pipeline, or ``None``.
+
+        Under ``edf``/``priority`` with a deadline, a head whose deadline
+        passed while queued is shed as ``expired`` (and handed to
+        ``expire``) without burning the admission slot; the next head is
+        tried until a live one is admitted or the queue runs dry.
+        """
+        queue = self.queue
+        while queue:
+            self._touch(now)
+            req = queue.popleft()
+            req.done = True
+            if self._expires and now > req.arrival + self.deadline_cycles:
+                self.expired += 1
+                if expire is not None:
+                    expire(req)
+                continue
+            self.pipeline += 1
+            return req
+        return None
 
     def on_completion(self, arrival: float, now: float) -> None:
         self.pipeline -= 1
@@ -252,6 +374,11 @@ class TenantState:
             peak_queue_depth=self.peak_queue,
             steady_rate_per_cycle=steady,
             lost=self.lost,
+            rejected=self.rejected,
+            expired=self.expired,
+            retries=self.retries,
+            hedges=self.hedges,
+            late=self.late,
             priority=self.spec.priority,
         )
 

@@ -71,6 +71,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..serve.arrivals import ArrivalProcess, ConstantRate, PoissonArrivals
+from ..serve.simulator import _Request
 
 __all__ = [
     "ENGINES",
@@ -485,7 +486,8 @@ def _fill_state(
     if fired:
         state.first_completion = float(finish[0])
         state.last_completion = float(finish[fired - 1])
-    state.queue = deque(float(t) for t in solved.queue_times)
+    # Requests left queued at the cut; only their count is ever read.
+    state.queue = deque(_Request(float(t)) for t in solved.queue_times)
     state.peak_queue = solved.peak
     state._occupancy_area = solved.area
     state._occupancy_mark = solved.mark

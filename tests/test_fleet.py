@@ -851,3 +851,42 @@ class TestRequestPathPins:
         assert _pinned_run(toy_design, overload, scenario) == (
             _REQUEST_PATH_PINS[(overload, scenario)]
         )
+
+
+class TestFailoverLedgerTies:
+    """Requests arriving at the same cycle keep separate failover ledgers.
+
+    A trace may repeat a timestamp.  Twin requests must each own their
+    attempt clock and failover count, so exact ties serve exactly like
+    twins a hair apart.
+    """
+
+    def test_tied_arrivals_match_shifted_arrivals(self, alexnet_485t_design):
+        from repro.fleet.detector import DetectorSpec
+        from repro.serve.arrivals import TraceArrivals
+
+        design = alexnet_485t_design
+        epoch = design.epoch_cycles
+
+        def counters(shift):
+            times = []
+            for i in range(40):
+                when = (0.1234567 + 0.4 * i) * epoch
+                times += [when, when + shift]
+            tenant = design.network.name
+            result = simulate_fleet(
+                DeviceSpec(design).replicated(2),
+                [TenantSpec(tenant, TraceArrivals(times))],
+                16.4 * epoch,
+                balancer="round-robin",
+                drain=True,
+                engine="event",
+                detector=DetectorSpec(
+                    request_timeout_ms=3 * epoch / 1e5, max_failovers=2
+                ),
+            ).tenant(tenant)
+            return result.failed_over, result.timed_out, result.completions
+
+        tied = counters(0.0)
+        assert tied[0] > 0  # the drill does fail requests over
+        assert tied == counters(1e-6)
