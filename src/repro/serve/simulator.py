@@ -15,10 +15,13 @@ depth and CLP cost), :func:`resolve_epoch` (epoch length from the
 analytic model, optionally bandwidth-capped through
 :meth:`MultiCLPDesign.epoch_cycles_under_bandwidth`, or calibrated by
 running the cycle-level system simulator
-:func:`repro.sim.system.simulate_system` on one epoch) — and the
-per-tenant bounded-queue bookkeeping (:class:`TenantState`) every
-engine fills in.  Seeded arrival streams (:mod:`repro.serve.arrivals`)
-feed those queues under a drop policy.
+:func:`repro.sim.system.simulate_system` on one epoch) — and the one
+per-tenant bookkeeping class, :class:`TenantState`: a bounded queue of
+request objects under a drop policy and a queue discipline, plus every
+counter a run reports.  Seeded arrival streams
+(:mod:`repro.serve.arrivals`) feed those queues; plain and
+overload-controlled runs share the state and its request path, and the
+epoch-batched fast path fills in the same class.
 
 There is one traffic engine, :class:`repro.fleet.ClusterSimulator`
 (event loop plus the epoch-batched fast path).  :func:`simulate_traffic`
@@ -49,6 +52,7 @@ if TYPE_CHECKING:
     from ..obs.telemetry import ObsSpec
     from .overload import OverloadSpec
 
+from ..core.checks import require_finite_positive
 from ..core.design import MultiCLPDesign
 from ..opt.joint import _JOINT_SEPARATOR, JointDesign
 from .arrivals import ArrivalProcess
@@ -88,6 +92,9 @@ class TenantSpec:
     #: queue, and deadline admission can reject at enqueue.  Setting it
     #: activates the overload layer (event engine under ``auto``).
     deadline_ms: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        require_finite_positive(self, "deadline_ms")
 
 
 def tenant_plans(
@@ -258,18 +265,6 @@ class TenantState:
         return area / elapsed
 
     # ---------------------------------------------------------------- events
-    def _insert(self, req: _Request) -> None:
-        queue, key = self.queue, self._key
-        rank = key(req)
-        position = len(queue)
-        # Keys mostly grow with time, so the common case appends; the
-        # scan from the tail is O(queue_depth) at worst.
-        while position > 0 and key(queue[position - 1]) > rank:
-            position -= 1
-        queue.insert(position, req)
-        if len(queue) > self.peak_queue:
-            self.peak_queue = len(queue)
-
     def book_arrival(self, req: _Request) -> None:
         """Count one attempt arriving (before any admission decision)."""
         self.arrivals += 1
@@ -279,24 +274,15 @@ class TenantState:
             self.retries += 1
 
     def push(self, req: _Request, now: float) -> Optional[_Request]:
-        """Queue an admitted request; returns the drop-policy victim.
+        """Count one arriving attempt and queue it; returns the victim.
 
         ``None`` means the request was queued with room to spare.  Under
         drop-tail a full queue returns ``req`` itself (never queued);
         under drop-head it returns the evicted head — the entry the
         discipline would have served next — and queues ``req``.
         """
-        self._touch(now)
-        victim: Optional[_Request] = None
-        if len(self.queue) >= self.queue_depth:
-            self.drops += 1
-            if self.policy == "drop-tail":
-                req.done = True
-                return req
-            victim = self.queue.popleft()
-            victim.done = True
-        self._insert(req)
-        return victim
+        self.book_arrival(req)
+        return self._enqueue(req, now, self.policy == "drop-head")
 
     def requeue(self, req: _Request, now: float) -> Optional[_Request]:
         """Re-admit a request evacuated from another queue.
@@ -308,14 +294,37 @@ class TenantState:
         it as an ordinary drop here, and returns it so the host can hand
         it to the retry layer.
         """
-        self._touch(now)
-        if len(self.queue) >= self.queue_depth:
-            self.drops += 1
-            req.done = True
-            return req
         req.done = False
-        self._insert(req)
-        return None
+        return self._enqueue(req, now, False)
+
+    def _enqueue(
+        self, req: _Request, now: float, evict: bool
+    ) -> Optional[_Request]:
+        queue = self.queue
+        self._occupancy_area += len(queue) * (now - self._occupancy_mark)
+        self._occupancy_mark = now
+        victim: Optional[_Request] = None
+        if len(queue) >= self.queue_depth:
+            self.drops += 1
+            if not evict:
+                req.done = True
+                return req
+            victim = queue.popleft()
+            victim.done = True
+        key = self._key
+        if queue and key(queue[-1]) > key(req):
+            # Keys mostly grow with time, so most inserts append; the
+            # scan from the tail is O(queue_depth) at worst.
+            rank = key(req)
+            position = len(queue) - 1
+            while position > 0 and key(queue[position - 1]) > rank:
+                position -= 1
+            queue.insert(position, req)
+        else:
+            queue.append(req)
+        if len(queue) > self.peak_queue:
+            self.peak_queue = len(queue)
+        return victim
 
     def pop_next(
         self,
@@ -331,7 +340,8 @@ class TenantState:
         """
         queue = self.queue
         while queue:
-            self._touch(now)
+            self._occupancy_area += len(queue) * (now - self._occupancy_mark)
+            self._occupancy_mark = now
             req = queue.popleft()
             req.done = True
             if self._expires and now > req.arrival + self.deadline_cycles:

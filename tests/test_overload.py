@@ -803,3 +803,60 @@ class TestCLI:
         parser = self._parse(["fleet", "simulate",
                               "--scenario", "retry-storm"])
         assert parser.scenario == "retry-storm"
+
+
+# ------------------------------------------------------- non-finite inputs
+def _tenant_spec(**kwargs):
+    return TenantSpec("toy", make_arrival_process("poisson", 1e-4), **kwargs)
+
+
+def _detector_spec(**kwargs):
+    from repro.fleet.detector import DetectorSpec
+
+    return DetectorSpec(**kwargs)
+
+
+_FINITE_FIELDS = [
+    (_detector_spec, "probe_interval_ms"),
+    (_detector_spec, "probe_timeout_ms"),
+    (_detector_spec, "ejection_window_ms"),
+    (_detector_spec, "probation_ms"),
+    (_detector_spec, "request_timeout_ms"),
+    (_detector_spec, "outlier_p99_factor"),
+    (RetryPolicy, "base_ms"),
+    (RetryPolicy, "cap_ms"),
+    (RetryPolicy, "hedge_ms"),
+    (AdmissionPolicy, "rate_rps"),
+    (AdmissionPolicy, "burst"),
+    (BrownoutPolicy, "p99_ms"),
+    (BrownoutPolicy, "window_ms"),
+    (BrownoutPolicy, "recover_factor"),
+    (OverloadSpec, "deadline_ms"),
+    (_tenant_spec, "deadline_ms"),
+]
+
+
+class TestNonFiniteSpecValues:
+    """NaN passes every ``value <= 0`` check; each spec refuses it."""
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    @pytest.mark.parametrize(
+        "make, field", _FINITE_FIELDS,
+        ids=[f"{make.__name__.strip('_')}.{field}"
+             for make, field in _FINITE_FIELDS],
+    )
+    def test_rejected(self, make, field, value):
+        with pytest.raises(ValueError, match=field):
+            make(**{field: value})
+
+    def test_nan_backoff_no_longer_reaches_the_engine(self, toy_design):
+        with pytest.raises(ValueError, match="base_ms"):
+            simulate_traffic(
+                toy_design,
+                _tenants(toy_design, 3.0),
+                duration_cycles=50 * toy_design.epoch_cycles,
+                overload=OverloadSpec(
+                    retry=RetryPolicy(base_ms=float("nan"))
+                ),
+            )
