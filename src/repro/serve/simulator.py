@@ -300,9 +300,8 @@ class TenantState:
     def _enqueue(
         self, req: _Request, now: float, evict: bool
     ) -> Optional[_Request]:
+        self._touch(now)
         queue = self.queue
-        self._occupancy_area += len(queue) * (now - self._occupancy_mark)
-        self._occupancy_mark = now
         victim: Optional[_Request] = None
         if len(queue) >= self.queue_depth:
             self.drops += 1
@@ -340,8 +339,7 @@ class TenantState:
         """
         queue = self.queue
         while queue:
-            self._occupancy_area += len(queue) * (now - self._occupancy_mark)
-            self._occupancy_mark = now
+            self._touch(now)
             req = queue.popleft()
             req.done = True
             if self._expires and now > req.arrival + self.deadline_cycles:
