@@ -644,7 +644,7 @@ class OverloadController:
         expired work never burns the epoch's admission slot.
         """
         if not state.queue:
-            return None
+            return None  # idle boundaries, the common case, skip the hook
         now = self._now()
         name = self.tenants[index].name
 
